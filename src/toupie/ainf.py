@@ -4,8 +4,9 @@ The chains carry a minimal coalgebra model of the bar complex: a family of
 higher coproducts transferred through the matching homotopy.  Two
 implementations live side by side: `transfer_delta` evaluates the recursive
 transfer formula with the zigzag maps (the oracle), while `closed_delta` cuts
-the supporting paths into chains directly.  Dualizing the coproducts with
-Koszul signs yields higher products on dual chains (`ExtAlgebra.m`), and
+the supporting paths into chains directly and is cached once per arity
+(`coproduct_layer`).  The higher products on dual chains (`ExtAlgebra.m`) are
+the signed transpose of that layer, `closed_m` their one-term cross-check, and
 `stasheff_*_defects` verify the coherence identities on materialized tables.
 
 Conventions (fixed once, used everywhere):
@@ -59,6 +60,7 @@ class TorCoalgebra:
         self.cg: ChainGraph = self.sdr.cg
         self._bar_memo: dict = {}
         self._transfer_memo: dict = {}
+        self._layers: dict = {}
 
     def all_chains(self) -> list:
         out = []
@@ -69,6 +71,13 @@ class TorCoalgebra:
                 return out
             out.extend(layer)
             d += 1
+
+    def coproduct_layer(self, n: int) -> dict:
+        """{chain: Delta_n(chain)} by `closed_delta`, zero values dropped; built once per arity."""
+        if n not in self._layers:
+            deltas = ((c, self.closed_delta(n, c)) for c in self.all_chains())
+            self._layers[n] = {c: v for c, v in deltas if v}
+        return self._layers[n]
 
     # -- transfer (oracle) -------------------------------------------------
 
@@ -154,25 +163,23 @@ class TorCoalgebra:
 
 
 class ExtAlgebra:
-    """Higher products on dual chains, by pairing tuples against the coproducts.
+    """Higher products on dual chains, dual to the higher coproducts.
 
     A dual basis element is keyed by its chain word; degree = letter count.
-    `m` runs the pairing pipeline over `closed_delta` (or the oracle when
-    `use_oracle` is set); `closed_m` is the independent one-term closed
-    form used to cross-check signs.
+    `m` looks the tuple up in the signed transpose of the cached coproduct
+    layer of its arity; `closed_m` is the independent one-term closed form
+    used to cross-check signs.
     """
 
-    def __init__(self, tor: TorCoalgebra, use_oracle: bool = False):
+    def __init__(self, tor: TorCoalgebra):
         self.tor = tor
         self.cg = tor.cg
         self.gd = tor.gd
-        self._delta = tor.transfer_delta if use_oracle else tor.closed_delta
+        self._layers: dict = {}
 
     @staticmethod
-    def pairing_sign(duals, word) -> int:
-        """(-1)^N' when the slots match the dual tuple elementwise, else 0."""
-        if len(duals) != len(word) or any(f != c for f, c in zip(duals, word)):
-            return 0
+    def pairing_sign(duals) -> int:
+        """(-1)^N' for pairing the dual tuple with the equal tensor word of chains."""
         n_exp = 0
         acc = 0
         for i, f in enumerate(duals):
@@ -181,24 +188,30 @@ class ExtAlgebra:
             acc += len(f)
         return (-1) ** n_exp
 
+    @staticmethod
+    def transpose(n: int, coproducts: dict) -> dict:
+        """{chain: Delta_n(chain)} -> {dual tuple: m_n(tuple)}, signed by the product
+        prefactor times the pairing sign.  Every word of Delta_n(gamma) has total
+        degree |gamma| + n - 2, so gamma is exactly the chain m_n pairs it against.
+        """
+        out: dict = {}
+        for gamma, delta in coproducts.items():
+            for word, c in delta.terms.items():
+                sign = (-1) ** (n * sum(len(f) for f in word)) * ExtAlgebra.pairing_sign(word)
+                out.setdefault(word, FormalSum()).add_term(gamma, sign * c)
+        return out
+
     def m(self, duals) -> FormalSum:
         """m_n(f1 ... fn): a combination of dual chains, keyed by their chains."""
         duals = tuple(tuple(f) for f in duals)
         n = len(duals)
-        total = sum(len(f) for f in duals)
-        letters = total + 2 - n
-        out = FormalSum()
-        if n < 2 or letters < 1:
-            return out
-        prefactor = (-1) ** (n * total)
-        for gamma in self.cg.chains(letters - 1):
-            c = sum(
-                (co * self.pairing_sign(duals, tw) for tw, co in self._delta(n, gamma).terms.items()),
-                start=0,
-            )
-            if c:
-                out.add_term(gamma, prefactor * c)
-        return out
+        if n < 2:
+            return FormalSum()
+        if n not in self._layers:
+            self._layers[n] = self.transpose(n, self.tor.coproduct_layer(n))
+        got = self._layers[n].get(duals)
+        # a copy, so callers that edit the value leave the cached layer intact
+        return FormalSum(got.terms) if got else FormalSum()
 
     def closed_m(self, duals) -> FormalSum:
         """One-term product formula on composable tuples, for cross-checking.
@@ -258,16 +271,12 @@ class ExtAlgebra:
         return tuples
 
 
-def coalgebra_table(tor: TorCoalgebra, n_max: int, use_oracle: bool = False) -> dict:
-    """arity -> {chain: Delta_n(chain)} with zero values dropped (arity 1 is empty)."""
-    delta = tor.transfer_delta if use_oracle else tor.closed_delta
+def coalgebra_table(tor: TorCoalgebra, n_max: int) -> dict:
+    """arity -> {chain: Delta_n(chain)} with zero values dropped (arity 1 is empty);
+    a copy of the cached layers, so editing the table leaves `tor` intact."""
     table: dict = {1: {}}
     for n in range(2, n_max + 1):
-        table[n] = {}
-        for c in tor.all_chains():
-            v = delta(n, c)
-            if v:
-                table[n][c] = v
+        table[n] = {c: FormalSum(v.terms) for c, v in tor.coproduct_layer(n).items()}
     return table
 
 

@@ -10,7 +10,7 @@ computed by the same projection recursion, now transporting the decorations.
 from __future__ import annotations
 
 from .chains import ChainGraph
-from .morse import bar_words, classify_word
+from .morse import classify_word
 from .presentation import FormalSum, Path, compose
 from .rewriting import GroebnerData
 
@@ -27,7 +27,6 @@ class AnickResolution:
     def __init__(self, gd: GroebnerData):
         self.gd = gd
         self.cg = ChainGraph(gd)
-        self.cells_by_degree = bar_words(gd)
         self._status: dict = {}
         self._p_cache: dict = {}
         self._diff_cache: dict = {}

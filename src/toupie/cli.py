@@ -368,38 +368,31 @@ def cmd_sdr_check(job: JobSpec, pres: Presentation):
 
 def cmd_tor_coalgebra(job: JobSpec, pres: Presentation):
     gd = _groebner(pres)
-    tor = TorCoalgebra(gd)
-    table = coalgebra_table(tor, job.arity)
-    out = {}
-    for n in range(2, job.arity + 1):
-        rows = []
-        for chain in tor.all_chains():
-            fs = table.get(n, {}).get(chain)
-            if fs is None or fs.is_zero:
-                continue
-            rows.append({"chain": chain_payload(chain), "terms": _tensor_terms(fs)})
-        out[str(n)] = rows
+    table = coalgebra_table(TorCoalgebra(gd), job.arity)
+    out = {
+        str(n): [
+            {"chain": chain_payload(chain), "terms": _tensor_terms(fs)}
+            for chain, fs in table[n].items()
+        ]
+        for n in range(2, job.arity + 1)
+    }
     return "ok", {"coproducts": out}
 
 
-def _product_rows(ext: ExtAlgebra, table: dict, n_max: int) -> dict:
-    out = {}
-    for n in range(2, n_max + 1):
-        rows = []
-        for tup in ext.composable_tuples(n):
-            fs = table.get(n, {}).get(tup)
-            if fs is None or fs.is_zero:
-                continue
-            rows.append({"args": [chain_payload(w) for w in tup], "terms": _chain_terms(fs)})
-        out[str(n)] = rows
-    return out
+def _product_rows(table: dict, n_max: int) -> dict:
+    return {
+        str(n): [
+            {"args": [chain_payload(w) for w in tup], "terms": _chain_terms(fs)}
+            for tup, fs in table[n].items()
+        ]
+        for n in range(2, n_max + 1)
+    }
 
 
 def cmd_ext_products(job: JobSpec, pres: Presentation):
     gd = _groebner(pres)
-    ext = ExtAlgebra(TorCoalgebra(gd))
-    table = algebra_table(ext, job.arity)
-    return "ok", {"products": _product_rows(ext, table, job.arity)}
+    table = algebra_table(ExtAlgebra(TorCoalgebra(gd)), job.arity)
+    return "ok", {"products": _product_rows(table, job.arity)}
 
 
 def _stasheff_payload(gd, arity: int) -> dict:
@@ -442,9 +435,8 @@ def cmd_stasheff(job: JobSpec, pres: Presentation):
 def _refusal_payload(gd, err: HypothesesError, job: JobSpec) -> dict:
     """Refusals still ship the operation tables so the structure that broke
     the construction stays inspectable."""
-    ext = ExtAlgebra(TorCoalgebra(gd))
-    table = algebra_table(ext, job.arity)
-    return {"reasons": list(err.reasons), "products": _product_rows(ext, table, job.arity)}
+    table = algebra_table(ExtAlgebra(TorCoalgebra(gd)), job.arity)
+    return {"reasons": list(err.reasons), "products": _product_rows(table, job.arity)}
 
 
 def cmd_yoneda(job: JobSpec, pres: Presentation):

@@ -185,15 +185,6 @@ class BarSDR:
             out.add_term((q.slice(0, 1), q.slice(1, len(q))), c)
         return out
 
-    def total_h(self, word) -> FormalSum:
-        """Homotopy on any cell: closed form where it applies, oracle elsewhere."""
-        if self.cg.is_chain(word):
-            return FormalSum()
-        if self.is_attached(word):
-            h, _ = self._split_merge(word)
-            return h
-        return self.complex.h(word)
-
     # -- verification ------------------------------------------------------------
 
     def verify(self, max_degree: int | None = None) -> list[str]:

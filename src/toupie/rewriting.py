@@ -121,7 +121,7 @@ class GroebnerData:
         rel = self.nonmono_by_tip.get(t)
         if rel is not None:
             return rel
-        if t in set(self.mono_tips):
+        if t in self.tips:  # not a nonmonomial tip, so a monomial one
             return FormalSum.lift(t)
         raise KeyError(f"{t!r} is not a tip")
 

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from tests.conftest import single_chain_presentation
@@ -159,11 +161,56 @@ def test_ext_products_three_branch_frozen(tor3):
 
 
 def test_ext_products_match_oracle_pipeline(tor3):
-    closed = ExtAlgebra(tor3)
-    oracle = ExtAlgebra(tor3, use_oracle=True)
+    # the same transpose over the zigzag coproducts reproduces m
+    ext = ExtAlgebra(tor3)
     for n in (2, 3):
-        for tup in closed.composable_tuples(n):
-            assert closed.m(tup) == oracle.m(tup)
+        oracle = ExtAlgebra.transpose(n, {c: tor3.transfer_delta(n, c) for c in tor3.all_chains()})
+        tuples = ext.composable_tuples(n)
+        assert set(oracle) <= set(tuples)
+        for tup in tuples:
+            assert ext.m(tup) == oracle.get(tup, FormalSum())
+
+
+def test_closed_delta_runs_once_per_arity_and_chain(tor3, monkeypatch):
+    calls = Counter()
+    closed_delta = TorCoalgebra.closed_delta
+
+    def counted(self, n, chain):
+        calls[(n, tuple(chain))] += 1
+        return closed_delta(self, n, chain)
+
+    monkeypatch.setattr(TorCoalgebra, "closed_delta", counted)
+    ext = ExtAlgebra(tor3)
+    coalgebra_table(tor3, 4)
+    algebra_table(ext, 4)
+    for n in (2, 3, 4):
+        for tup in ext.composable_tuples(n):
+            ext.m(tup)
+    assert set(calls) == {(n, c) for n in (2, 3, 4) for c in tor3.all_chains()}
+    assert max(calls.values()) == 1
+
+
+def test_corrupted_tables_leave_products_intact(overlap_monomial):
+    tor = TorCoalgebra(build_groebner(overlap_monomial))
+    ext = ExtAlgebra(tor)
+    q = tor.gd.quiver
+    key = ((q.path("d1"),), (q.path("d2"),))
+    ctab = coalgebra_table(tor, 3)
+    atab = algebra_table(ext, 3)
+    want = atab[2][key].scale(1)
+    # flip signs in place: replace one entry, edit every other value's terms
+    atab[2][key] = atab[2][key].scale(-1)
+    for table in (ctab, atab):
+        for row in table.values():
+            for fs in row.values():
+                fs.terms.update((k, -c) for k, c in fs.terms.items())
+    ext.m(key).terms.clear()
+    assert ext.m(key) == want
+    assert algebra_table(ext, 3)[2][key] == want
+    assert coalgebra_table(tor, 3) == coalgebra_table(TorCoalgebra(tor.gd), 3)
+    for n in (2, 3):
+        for tup in ext.composable_tuples(n):
+            assert ext.m(tup) == ext.closed_m(tup), (n, tup)
 
 
 def test_products_associative_monomial(overlap_monomial):
