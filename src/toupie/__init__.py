@@ -9,12 +9,11 @@ from .presentation import (
     Presentation,
     Quiver,
     branches_of,
-    classify_branches,
     compose,
     lincomb_mul,
     validate_toupie,
 )
-from .rewriting import GroebnerData, build_groebner, rref, special_basis
+from .rewriting import GroebnerData, build_groebner, classify_branches, rref, special_basis
 from .chains import ChainGraph, underlying_path
 from .zigzag import BasedComplex, verify_sdr
 from .morse import BarSDR, bar_differential, bar_words, classify_word
@@ -55,12 +54,12 @@ __all__ = [
     "Presentation",
     "Quiver",
     "branches_of",
-    "classify_branches",
     "compose",
     "lincomb_mul",
     "validate_toupie",
     "GroebnerData",
     "build_groebner",
+    "classify_branches",
     "rref",
     "special_basis",
     "ChainGraph",

@@ -166,9 +166,9 @@ class ExtAlgebra:
     """Higher products on dual chains, dual to the higher coproducts.
 
     A dual basis element is keyed by its chain word; degree = letter count.
-    `m` looks the tuple up in the signed transpose of the cached coproduct
-    layer of its arity; `closed_m` is the independent one-term closed form
-    used to cross-check signs.
+    `layer(n)` is the signed transpose of the cached coproduct layer of arity
+    n and `m` a lookup in it; `closed_m` is the independent one-term closed
+    form used to cross-check signs.
     """
 
     def __init__(self, tor: TorCoalgebra):
@@ -201,15 +201,20 @@ class ExtAlgebra:
                 out.setdefault(word, FormalSum()).add_term(gamma, sign * c)
         return out
 
+    def layer(self, n: int) -> dict:
+        """{dual tuple: m_n(tuple)} over the nonzero products of arity n; built once
+        and shared, so read it without editing (`m` hands out copies)."""
+        if n not in self._layers:
+            self._layers[n] = self.transpose(n, self.tor.coproduct_layer(n))
+        return self._layers[n]
+
     def m(self, duals) -> FormalSum:
         """m_n(f1 ... fn): a combination of dual chains, keyed by their chains."""
         duals = tuple(tuple(f) for f in duals)
         n = len(duals)
         if n < 2:
             return FormalSum()
-        if n not in self._layers:
-            self._layers[n] = self.transpose(n, self.tor.coproduct_layer(n))
-        got = self._layers[n].get(duals)
+        got = self.layer(n).get(duals)
         # a copy, so callers that edit the value leave the cached layer intact
         return FormalSum(got.terms) if got else FormalSum()
 
@@ -281,14 +286,15 @@ def coalgebra_table(tor: TorCoalgebra, n_max: int) -> dict:
 
 
 def algebra_table(ext: ExtAlgebra, n_max: int) -> dict:
-    """arity -> {dual tuple: m_n value} with zero values dropped (arity 1 is empty)."""
+    """arity -> {dual tuple: m_n value} with zero values dropped (arity 1 is empty).
+
+    Rows follow `composable_tuples` order; `m` runs only on the tuples with a
+    nonzero product, which are the keys of the transposed layer.
+    """
     table: dict = {1: {}}
     for n in range(2, n_max + 1):
-        table[n] = {}
-        for duals in ext.composable_tuples(n):
-            v = ext.m(duals)
-            if v:
-                table[n][duals] = v
+        layer = ext.layer(n)
+        table[n] = {t: ext.m(t) for t in ext.composable_tuples(n) if t in layer}
     return table
 
 

@@ -52,15 +52,9 @@ from .duality import (
     yoneda_presentation,
 )
 from .morse import BarSDR
-from .presentation import (
-    FormalSum,
-    Presentation,
-    Quiver,
-    branches_of,
-    validate_toupie,
-)
+from .presentation import FormalSum, Presentation, Quiver, branches_of
 from .random_presentations import random_presentation
-from .rewriting import build_groebner
+from .rewriting import build_groebner, classify_branches
 
 _COMMAND_NAMES = (
     "validate",
@@ -269,20 +263,15 @@ def render_report(report: dict, fmt: str) -> str:
 # commands
 
 
-def _groebner(pres: Presentation):
-    validate_toupie(pres.quiver)
-    return build_groebner(pres)
-
-
 def cmd_validate(job: JobSpec, pres: Presentation):
-    source, sink = validate_toupie(pres.quiver)
+    branches = branches_of(pres.quiver)
     gd = build_groebner(pres)
     result = {
-        "source": source,
-        "sink": sink,
+        "source": branches[0].source,
+        "sink": branches[0].target,
         "vertices": len(pres.quiver.vertices),
         "arrows": len(pres.quiver.arrows),
-        "branch_lengths": sorted((len(b) for b in branches_of(pres.quiver)), reverse=True),
+        "branch_lengths": sorted((len(b) for b in branches), reverse=True),
         "relations": {"monomial": len(gd.mono_tips), "nonmonomial": len(gd.nonmono_rows)},
         "dimension": gd.dim,
     }
@@ -290,25 +279,15 @@ def cmd_validate(job: JobSpec, pres: Presentation):
 
 
 def cmd_branches(job: JobSpec, pres: Presentation):
-    gd = _groebner(pres)
-    in_nonmono = {b for _, rel in gd.nonmono_rows for b in rel.terms}
-    rows = []
-    for b in sorted(branches_of(pres.quiver), key=pres.branch_order_key()):
-        classes = []
-        if len(b) == 1:
-            classes.append("arrow")
-        if any(b.contains(t) for t in gd.mono_tips):
-            classes.append("monomial")
-        if b in in_nonmono:
-            classes.append("nonmonomial")
-        if not classes:
-            classes.append("plain")
-        rows.append({"arrows": list(b.names), "length": len(b), "classes": classes})
+    rows = [
+        {"arrows": list(b.names), "length": len(b), "classes": [cls]}
+        for b, cls in classify_branches(build_groebner(pres)).items()
+    ]
     return "ok", {"branches": rows}
 
 
 def cmd_tips(job: JobSpec, pres: Presentation):
-    gd = _groebner(pres)
+    gd = build_groebner(pres)
     result = {
         "monomial": [list(t.names) for t in gd.mono_tips],
         "nonmonomial": [
@@ -321,7 +300,7 @@ def cmd_tips(job: JobSpec, pres: Presentation):
 
 
 def cmd_chains(job: JobSpec, pres: Presentation):
-    gd = _groebner(pres)
+    gd = build_groebner(pres)
     cg = ChainGraph(gd)
     by_degree, counts = {}, []
     for d in range(job.degree + 1):
@@ -334,7 +313,7 @@ def cmd_chains(job: JobSpec, pres: Presentation):
 
 
 def cmd_betti(job: JobSpec, pres: Presentation):
-    gd = _groebner(pres)
+    gd = build_groebner(pres)
     ranks = betti_numbers(gd, job.degree)
     # chains nest, so past the first empty degree every rank stays zero
     while len(ranks) > 1 and ranks[-1] == 0 and ranks[-2] == 0:
@@ -343,7 +322,7 @@ def cmd_betti(job: JobSpec, pres: Presentation):
 
 
 def cmd_resolution_check(job: JobSpec, pres: Presentation):
-    gd = _groebner(pres)
+    gd = build_groebner(pres)
     rep = AnickResolution(gd).check(job.degree)
     ok = rep["square_zero"] and rep["augmented"] and rep["minimal"]
     result = {
@@ -358,7 +337,7 @@ def cmd_resolution_check(job: JobSpec, pres: Presentation):
 
 
 def cmd_sdr_check(job: JobSpec, pres: Presentation):
-    gd = _groebner(pres)
+    gd = build_groebner(pres)
     bad = BarSDR(gd).verify(job.degree)
     return ("ok" if not bad else "violation"), {
         "max_degree": job.degree,
@@ -367,7 +346,7 @@ def cmd_sdr_check(job: JobSpec, pres: Presentation):
 
 
 def cmd_tor_coalgebra(job: JobSpec, pres: Presentation):
-    gd = _groebner(pres)
+    gd = build_groebner(pres)
     table = coalgebra_table(TorCoalgebra(gd), job.arity)
     out = {
         str(n): [
@@ -390,7 +369,7 @@ def _product_rows(table: dict, n_max: int) -> dict:
 
 
 def cmd_ext_products(job: JobSpec, pres: Presentation):
-    gd = _groebner(pres)
+    gd = build_groebner(pres)
     table = algebra_table(ExtAlgebra(TorCoalgebra(gd)), job.arity)
     return "ok", {"products": _product_rows(table, job.arity)}
 
@@ -423,7 +402,7 @@ def _subjects(job: JobSpec, gd) -> list:
 
 
 def cmd_stasheff(job: JobSpec, pres: Presentation):
-    gd = _groebner(pres)
+    gd = build_groebner(pres)
     result, clean = {}, True
     for label, g in _subjects(job, gd):
         payload = _stasheff_payload(g, job.arity)
@@ -440,7 +419,7 @@ def _refusal_payload(gd, err: HypothesesError, job: JobSpec) -> dict:
 
 
 def cmd_yoneda(job: JobSpec, pres: Presentation):
-    gd = _groebner(pres)
+    gd = build_groebner(pres)
     try:
         dual = yoneda_presentation(pres)
     except HypothesesError as err:
@@ -452,7 +431,7 @@ def cmd_yoneda(job: JobSpec, pres: Presentation):
 
 
 def cmd_gr(job: JobSpec, pres: Presentation):
-    gd = _groebner(pres)
+    gd = build_groebner(pres)
     graded = gr_algebra(pres)
     gdim = build_groebner(graded.presentation()).dim
     result = {
@@ -464,7 +443,7 @@ def cmd_gr(job: JobSpec, pres: Presentation):
 
 
 def cmd_double_dual(job: JobSpec, pres: Presentation):
-    gd = _groebner(pres)
+    gd = build_groebner(pres)
     try:
         dd = double_dual(pres)
     except HypothesesError as err:
@@ -480,7 +459,7 @@ def cmd_double_dual(job: JobSpec, pres: Presentation):
 
 
 def cmd_oracle_diff(job: JobSpec, pres: Presentation):
-    gd = _groebner(pres)
+    gd = build_groebner(pres)
     result, clean = {}, True
     for label, g in _subjects(job, gd):
         tor = TorCoalgebra(g)

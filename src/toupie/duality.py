@@ -123,16 +123,8 @@ class HypothesesError(ValueError):
 
 def _special_rows(g: GroebnerData):
     """Support of each special-basis relation, branch blocks longest first."""
-    involved = g.branch_order
-    col = {b: j for j, b in enumerate(involved)}
-    rows = []
-    for _, rel in g.nonmono_rows:
-        row = [Fraction(0)] * len(involved)
-        for p, c in rel.terms.items():
-            row[col[p]] = c
-        rows.append(row)
     return [
-        [(involved[j], c) for j, c in enumerate(row) if c] for row in special_basis(rows)
+        [(g.branch_order[j], c) for j, c in enumerate(row) if c] for row in special_basis(g.matrix)
     ]
 
 

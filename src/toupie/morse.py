@@ -49,6 +49,14 @@ def bar_differential(gd: GroebnerData, word) -> FormalSum:
     return out
 
 
+def _tip_cut(gd: GroebnerData, prev: Path, w: Path):
+    """The shortest head length j >= 1 with prev * w[:j] in the tip ideal, or None."""
+    return next(
+        (j for j in range(1, len(w) + 1) if gd.contains_tip(compose(prev, w.slice(0, j)))),
+        None,
+    )
+
+
 def classify_word(cg: ChainGraph, word):
     """('critical', None) | ('lower', split partner) | ('upper', merge partner)."""
     gd = cg.gd
@@ -60,11 +68,7 @@ def classify_word(cg: ChainGraph, word):
         # first letter is not an arrow: split off its first arrow
         pr_len = 1
     else:
-        prev = word[k - 1]
-        pr_len = next(
-            (j for j in range(1, len(w) + 1) if gd.contains_tip(compose(prev, w.slice(0, j)))),
-            None,
-        )
+        pr_len = _tip_cut(gd, word[k - 1], w)
         if pr_len is None:
             # nothing to split: this word absorbs its successor instead
             merged = compose(word[k - 1], w)
@@ -128,16 +132,8 @@ class BarSDR:
             if k == 0:
                 pr_len = 1
             else:
-                prev = cur[k - 1]
-                pr_len = next(
-                    (
-                        j
-                        for j in range(1, len(w))
-                        if self.gd.contains_tip(compose(prev, w.slice(0, j)))
-                    ),
-                    None,
-                )
-                if pr_len is None:
+                pr_len = _tip_cut(self.gd, cur[k - 1], w)
+                if pr_len in (None, len(w)):
                     raise ValueError(f"input not attached: {cur!r}")
             head, tail = w.slice(0, pr_len), w.slice(pr_len, len(w))
             split = cur[:k] + (head, tail) + cur[k + 1 :]

@@ -5,7 +5,8 @@ vertex has exactly one incoming and one outgoing arrow, so the arrows split
 into parallel *branches* (maximal source-to-sink paths).  Algebras are
 presented as a quotient of the path algebra over Q by relations that are
 either a subpath of a branch (monomial) or a linear combination of whole
-branches (non-monomial).
+branches (non-monomial).  The relation shape checks and the branch classes
+live with the reduced relations in `rewriting`.
 """
 from __future__ import annotations
 
@@ -22,7 +23,6 @@ __all__ = [
     "lincomb_mul",
     "validate_toupie",
     "branches_of",
-    "classify_branches",
 ]
 
 
@@ -222,6 +222,7 @@ class Quiver:
         self.arrow_by_name = {a.name: a for a in self.arrows}
         self.out = {v: tuple(a for a in self.arrows if a.src == v) for v in self.vertices}
         self.inn = {v: tuple(a for a in self.arrows if a.dst == v) for v in self.vertices}
+        self._branches: tuple[Path, ...] | None = None  # filled by branches_of
 
     def trivial(self, v: str) -> Path:
         if v not in self.out:
@@ -296,16 +297,22 @@ def validate_toupie(q: Quiver):
 
 
 def branches_of(q: Quiver) -> tuple[Path, ...]:
-    """The branches (maximal source-to-sink paths), one per arrow out of the source."""
-    src, snk = validate_toupie(q)
-    out = []
-    for first in q.out[src]:
-        arrows = [first]
-        while arrows[-1].dst != snk:
-            (nxt,) = q.out[arrows[-1].dst]
-            arrows.append(nxt)
-        out.append(Path(src, tuple(arrows)))
-    return tuple(out)
+    """The branches (maximal source-to-sink paths), one per arrow out of the source.
+
+    The first call validates the toupie shape and stores the branches on `q`,
+    so the shape check runs once per quiver however often this is asked.
+    """
+    if q._branches is None:
+        src, snk = validate_toupie(q)
+        out = []
+        for first in q.out[src]:
+            arrows = [first]
+            while arrows[-1].dst != snk:
+                (nxt,) = q.out[arrows[-1].dst]
+                arrows.append(nxt)
+            out.append(Path(src, tuple(arrows)))
+        q._branches = tuple(out)
+    return q._branches
 
 
 @dataclass(frozen=True)
@@ -327,60 +334,3 @@ class Presentation:
         listed = {n: i for i, n in enumerate(self.order)}
         pos = {b: i for i, b in enumerate(branches)}
         return lambda b: (-len(b), listed.get(b.arrows[0].name, len(listed) + pos[b]))
-
-
-def classify_branches(pres: Presentation) -> dict:
-    """Split branches into the four classes.
-
-    Returns {"arrow": [...], "plain": [...], "monomial": [...], "nonmonomial": [...]}
-    where `arrow` holds length-1 branches, `plain` the longer relation-free
-    ones, `monomial` the branches containing a monomial relation, and
-    `nonmonomial` the branches occurring in non-monomial relations (ordered by
-    descending length, ties by the presentation's branch order).
-    """
-    branches = branches_of(pres.quiver)
-    mono_rels, nonmono_rels = [], []
-    for rel in pres.relations:
-        if rel.is_zero:
-            raise ValueError("zero relation")
-        terms = list(rel.terms)
-        if len(terms) == 1:
-            mono_rels.append(terms[0])
-        else:
-            nonmono_rels.append(rel)
-
-    in_mono: set[Path] = set()
-    for p in mono_rels:
-        if len(p) < 2:
-            raise ValueError(f"monomial relation {p!r} shorter than 2")
-        carriers = [b for b in branches if b.contains(p)]
-        if not carriers:
-            raise ValueError(f"relation not of branch form: {p!r} is not a subpath of a branch")
-        in_mono.update(carriers)
-
-    in_nonmono: set[Path] = set()
-    branch_set = set(branches)
-    for rel in nonmono_rels:
-        terms = list(rel.terms)
-        if len(terms) < 2:
-            raise ValueError("non-monomial relation with a single term")
-        for p in terms:
-            if p not in branch_set:
-                raise ValueError(f"relation not of branch form: {p!r} is not a whole branch")
-            if len(p) < 2:
-                raise ValueError(f"branch {p!r} of length < 2 in a non-monomial relation")
-        in_nonmono.update(terms)
-
-    both = in_mono & in_nonmono
-    if both:
-        raise ValueError(
-            f"a branch in both a monomial and a non-monomial relation: {sorted(b.names for b in both)}"
-        )
-
-    key = pres.branch_order_key()
-    return {
-        "arrow": [b for b in branches if len(b) == 1],
-        "plain": [b for b in branches if len(b) > 1 and b not in in_mono and b not in in_nonmono],
-        "monomial": [b for b in branches if b in in_mono],
-        "nonmonomial": sorted(in_nonmono, key=key),
-    }

@@ -4,7 +4,9 @@ Relations are put in reduced row echelon form over the branches (longest
 branch first, ties broken by the presentation's order).  The leading branch of
 each reduced relation is its *tip*; together with the monomial relations the
 tips generate the ideal of leading terms, and the tip-free paths ("nontips")
-form a linear basis of the quotient algebra.
+form a linear basis of the quotient algebra.  `_split_relations` is the one
+place that rejects malformed relations, and `classify_branches` reads the
+branch classes off the reduced data.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from fractions import Fraction
 
 from .presentation import FormalSum, Path, Presentation, branches_of
 
-__all__ = ["rref", "special_basis", "GroebnerData", "build_groebner"]
+__all__ = ["rref", "special_basis", "GroebnerData", "build_groebner", "classify_branches"]
 
 
 def rref(rows):
@@ -94,13 +96,15 @@ def _split_relations(pres: Presentation):
 class GroebnerData:
     """Tips, tails and the nontip basis of a presentation."""
 
-    def __init__(self, pres, mono_tips, nonmono_rows, branch_order):
+    def __init__(self, pres, mono_tips, nonmono_rows, branch_order, matrix):
         self.pres = pres
         self.quiver = pres.quiver
         self.mono_tips: tuple[Path, ...] = tuple(sorted(mono_tips, key=Path.sort_key))
         # each row: (tip branch, full relation with tip coefficient 1)
         self.nonmono_rows: tuple[tuple[Path, FormalSum], ...] = tuple(nonmono_rows)
         self.branch_order: tuple[Path, ...] = tuple(branch_order)
+        # the reduced coefficient rows of nonmono_rows, columns in branch_order
+        self.matrix: tuple[tuple[Fraction, ...], ...] = tuple(tuple(r) for r in matrix)
         self.nonmono_by_tip = {t: rel for t, rel in self.nonmono_rows}
         self.tips = frozenset(self.mono_tips) | frozenset(self.nonmono_by_tip)
         self._nf_cache: dict = {}
@@ -193,11 +197,11 @@ def build_groebner(pres: Presentation) -> GroebnerData:
 
     # reduced monomial set: drop any monomial containing a shorter one
     def reduce_mono(paths):
-        out = []
-        for p in sorted(set(paths), key=Path.sort_key):
-            if not any(p.contains(q) and p != q for q in set(paths) if q != p):
-                out.append(p)
-        return out
+        uniq = set(paths)
+        return [
+            p for p in sorted(uniq, key=Path.sort_key)
+            if not any(q != p and p.contains(q) for q in uniq)
+        ]
 
     mono = reduce_mono(mono)
     pending = list(nonmono)
@@ -239,4 +243,27 @@ def build_groebner(pres: Presentation) -> GroebnerData:
     for row, pc in zip(reduced, pivots):
         rel = FormalSum({involved[j]: c for j, c in enumerate(row) if c})
         nonmono_rows.append((involved[pc], rel))
-    return GroebnerData(pres, mono, nonmono_rows, involved)
+    return GroebnerData(pres, mono, nonmono_rows, involved, reduced)
+
+
+def classify_branches(gd: GroebnerData) -> dict:
+    """{branch: class} over every branch, in the presentation's branch order.
+
+    The classes are read off the reduced relations: `arrow` for a length-1
+    branch, `monomial` for a branch containing a monomial tip, `nonmonomial`
+    for a branch in a reduced non-monomial relation, `plain` otherwise.  They
+    are exclusive, because the reduction drops every branch term that contains
+    a monomial tip from the non-monomial relations.
+    """
+    in_nonmono = {b for _, rel in gd.nonmono_rows for b in rel.terms}
+    out = {}
+    for b in sorted(branches_of(gd.quiver), key=gd.pres.branch_order_key()):
+        if len(b) == 1:
+            out[b] = "arrow"
+        elif any(b.contains(t) for t in gd.mono_tips):
+            out[b] = "monomial"
+        elif b in in_nonmono:
+            out[b] = "nonmonomial"
+        else:
+            out[b] = "plain"
+    return out

@@ -4,8 +4,11 @@ import sys
 
 import pytest
 
+import toupie.presentation
 from tests.conftest import three_branch_presentation
 from toupie.cli import main, parse_presentation, presentation_payload
+from toupie.random_presentations import GeneratorConfig, random_presentation
+from toupie.rewriting import build_groebner, classify_branches
 
 
 def write_input(tmp_path, pres, name="input.json"):
@@ -276,3 +279,38 @@ def test_module_entry_point(e1_path):
     )
     assert proc.returncode == 0
     assert "betti: [6, 7, 2, 0]" in proc.stdout
+
+
+def test_classify_branches_matches_branches_command(capsys, tmp_path):
+    cfg = GeneratorConfig(max_branches=6, max_branch_length=4, max_nonmono=4)
+    for seed in range(30):
+        pres = random_presentation(seed, cfg)
+        code, report = run_json(capsys, "branches", write_input(tmp_path, pres, f"{seed}.json"))
+        assert code == 0, seed
+        gd = build_groebner(pres)
+        classes = classify_branches(gd)
+        assert report["result"]["branches"] == [
+            {"arrows": list(b.names), "length": len(b), "classes": [cls]}
+            for b, cls in classes.items()
+        ], seed
+        # independently: exactly the monomial branches vanish in the quotient
+        for b, cls in classes.items():
+            assert (cls == "monomial") == gd.normal_form(b).is_zero, (seed, b)
+
+
+def test_one_shape_check_per_job(capsys, monkeypatch, e1_path):
+    orig = toupie.presentation.validate_toupie
+    calls = []
+
+    def counted(q):
+        calls.append(q)
+        return orig(q)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "toupie" and getattr(mod, "validate_toupie", None) is orig:
+            monkeypatch.setattr(mod, "validate_toupie", counted)
+    for command in ("validate", "branches", "tips"):
+        calls.clear()
+        code, _, _ = run_cli(capsys, command, e1_path)
+        assert code == 0, command
+        assert len(calls) == 1, (command, len(calls))

@@ -15,11 +15,11 @@ from toupie.presentation import (
     Presentation,
     Quiver,
     branches_of,
-    classify_branches,
     compose,
     lincomb_mul,
     validate_toupie,
 )
+from toupie.rewriting import build_groebner, classify_branches
 from tests.conftest import three_branch_presentation
 
 
@@ -150,29 +150,32 @@ def test_branches(three_branch):
 
 
 def test_classify_branches(three_branch):
-    q = three_branch.quiver
-    classes = classify_branches(three_branch)
-    assert classes["arrow"] == [] and classes["plain"] == [] and classes["monomial"] == []
+    classes = classify_branches(build_groebner(three_branch))
     # descending length, ties by the a > b > c order
-    assert [b.names for b in classes["nonmonomial"]] == [
-        ("a1", "a2", "a3"),
-        ("b1", "b2"),
-        ("c1", "c2"),
+    assert [(b.names, cls) for b, cls in classes.items()] == [
+        (("a1", "a2", "a3"), "nonmonomial"),
+        (("b1", "b2"), "nonmonomial"),
+        (("c1", "c2"), "nonmonomial"),
     ]
 
 
 def test_classify_branches_monomial(overlap_monomial):
-    classes = classify_branches(overlap_monomial)
-    assert [b.names for b in classes["monomial"]] == [("d1", "d2", "d3")]
-    assert classes["nonmonomial"] == []
+    classes = classify_branches(build_groebner(overlap_monomial))
+    assert [(b.names, cls) for b, cls in classes.items()] == [(("d1", "d2", "d3"), "monomial")]
 
 
-def test_classify_rejects_branch_in_both():
+def test_classify_branch_in_both_reduces_to_monomials():
+    # b1*b2 is monomial and in both long relations: the reduction turns
+    # b1b2 - c1c2 into the monomial c1c2, and then a1a2a3 - c1c2 into a1a2a3
     pres = three_branch_presentation()
     q = pres.quiver
     rels = pres.relations + (FormalSum.lift(q.path("b1", "b2")),)
-    with pytest.raises(ValueError, match="both a monomial and a non-monomial"):
-        classify_branches(Presentation(q, rels, pres.order))
+    classes = classify_branches(build_groebner(Presentation(q, rels, pres.order)))
+    assert [(b.names, cls) for b, cls in classes.items()] == [
+        (("a1", "a2", "a3"), "monomial"),
+        (("b1", "b2"), "monomial"),
+        (("c1", "c2"), "monomial"),
+    ]
 
 
 def test_classify_rejects_non_branch_relation(three_branch):
@@ -180,4 +183,4 @@ def test_classify_rejects_non_branch_relation(three_branch):
     # a1*a2 + b1*b2 is not a combination of whole branches
     bad = FormalSum({q.path("a1", "a2"): 1, q.path("b1", "b2"): 1})
     with pytest.raises(ValueError, match="not of branch form"):
-        classify_branches(Presentation(q, (bad,)))
+        classify_branches(build_groebner(Presentation(q, (bad,))))
