@@ -18,6 +18,13 @@ from .zigzag import BasedComplex, verify_sdr
 __all__ = ["bar_words", "bar_differential", "classify_word", "BarSDR"]
 
 
+def _word_key(word):
+    # the underlying path's sort_key, then the letter lengths, read off the
+    # letters: building (and interning) the underlying path only to sort is waste
+    names = tuple(n for p in word for n in p.names)
+    return (len(names), word[0].source, names), tuple(len(p) for p in word)
+
+
 def bar_words(gd: GroebnerData) -> dict[int, list]:
     """All stacked-word cells by degree; degree 0 holds the vertices as trivial paths."""
     letters = [p for ps in gd.nontips_by_degree.values() for p in ps if not p.is_trivial]
@@ -25,9 +32,7 @@ def bar_words(gd: GroebnerData) -> dict[int, list]:
     layer = [(p,) for p in letters]
     d = 1
     while layer:
-        by_deg[d] = sorted(
-            layer, key=lambda w: (underlying_path(w).sort_key(), tuple(len(x) for x in w))
-        )
+        by_deg[d] = sorted(layer, key=_word_key)
         layer = [w + (p,) for w in layer for p in letters if w[-1].target == p.source]
         d += 1
     return by_deg

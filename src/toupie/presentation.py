@@ -7,11 +7,17 @@ presented as a quotient of the path algebra over Q by relations that are
 either a subpath of a branch (monomial) or a linear combination of whole
 branches (non-monomial).  The relation shape checks and the branch classes
 live with the reduced relations in `rewriting`.
+
+Paths are interned: equal paths are one object, so the dicts and sets keyed
+by paths (and by tuples of paths, such as bar cells) hash and compare them by
+identity.  Formal sums store exact `Fraction` coefficients only.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 __all__ = [
     "Arrow",
@@ -26,26 +32,52 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class Arrow:
+class Arrow(NamedTuple):
+    """A named arrow src -> dst.  A named tuple, so the path intern key,
+    which holds the arrows, hashes and compares without Python calls."""
+
     name: str
     src: str
     dst: str
 
 
-@dataclass(frozen=True, slots=True)
 class Path:
-    """A path: a source vertex plus a (possibly empty) run of composable arrows."""
+    """A path: a source vertex plus a (possibly empty) run of composable arrows.
+
+    Paths are interned: `Path(source, arrows)` returns the one live path with
+    that source and those arrows (compared by `Arrow` equality), so equal
+    paths are the same object and hashing and `==` are identity.  The
+    composability check runs only when a new path is created.  Paths are
+    immutable; the table holds them weakly, so unused paths are freed.
+    """
+
+    __slots__ = ("source", "arrows", "__weakref__")
+    _table: "weakref.WeakValueDictionary[tuple, Path]" = weakref.WeakValueDictionary()
 
     source: str
     arrows: tuple[Arrow, ...]
 
-    def __post_init__(self):
-        at = self.source
-        for a in self.arrows:
-            if a.src != at:
-                raise ValueError(f"arrows do not compose at {at!r}: {a}")
-            at = a.dst
+    def __new__(cls, source: str, arrows) -> "Path":
+        arrows = tuple(arrows)
+        key = (source, arrows)
+        self = cls._table.get(key)
+        if self is None:
+            at = source
+            for a in arrows:
+                if a.src != at:
+                    raise ValueError(f"arrows do not compose at {at!r}: {a}")
+                at = a.dst
+            self = object.__new__(cls)
+            object.__setattr__(self, "source", source)
+            object.__setattr__(self, "arrows", arrows)
+            cls._table[key] = self
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Path is immutable (cannot set {name!r})")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Path is immutable (cannot delete {name!r})")
 
     @property
     def target(self) -> str:
@@ -124,11 +156,16 @@ class FormalSum:
         return s
 
     def add_term(self, key, coeff) -> None:
-        c = self.terms.get(key, 0) + Fraction(coeff)
-        if c:
-            self.terms[key] = c
-        else:
-            self.terms.pop(key, None)
+        if not isinstance(coeff, Fraction):
+            coeff = Fraction(coeff)
+        old = self.terms.get(key)
+        if old is not None:
+            coeff += old
+            if not coeff:
+                del self.terms[key]
+                return
+        if coeff:
+            self.terms[key] = coeff
 
     def __iadd__(self, other: "FormalSum") -> "FormalSum":
         for k, c in other.terms.items():
@@ -147,9 +184,14 @@ class FormalSum:
         return self.scale(-1)
 
     def scale(self, c) -> "FormalSum":
-        c = Fraction(c)
         out = FormalSum()
-        if c:
+        if c == 1:
+            out.terms = dict(self.terms)
+        elif c == -1:
+            out.terms = {k: -v for k, v in self.terms.items()}
+        elif c:
+            if not isinstance(c, Fraction):
+                c = Fraction(c)
             out.terms = {k: v * c for k, v in self.terms.items()}
         return out
 
@@ -327,6 +369,8 @@ class Presentation:
     quiver: Quiver
     relations: tuple[FormalSum, ...]
     order: tuple[str, ...] = ()
+    # the reduced relations, filled by rewriting.build_groebner
+    _groebner: object = field(default=None, init=False, repr=False, compare=False)
 
     def branch_order_key(self):
         # longer branches first, then user order, then quiver order

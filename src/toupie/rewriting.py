@@ -192,7 +192,12 @@ def build_groebner(pres: Presentation) -> GroebnerData:
     single term turns that branch into a new monomial relation (repeat until
     stable).  The survivors are row-reduced over the ordered branches; every
     relation must contribute a pivot, otherwise the input was dependent.
+
+    The result is stored on `pres`, so the reduction runs once per
+    presentation however often this is asked.
     """
+    if pres._groebner is not None:
+        return pres._groebner
     mono, nonmono = _split_relations(pres)
 
     # reduced monomial set: drop any monomial containing a shorter one
@@ -243,7 +248,9 @@ def build_groebner(pres: Presentation) -> GroebnerData:
     for row, pc in zip(reduced, pivots):
         rel = FormalSum({involved[j]: c for j, c in enumerate(row) if c})
         nonmono_rows.append((involved[pc], rel))
-    return GroebnerData(pres, mono, nonmono_rows, involved, reduced)
+    gd = GroebnerData(pres, mono, nonmono_rows, involved, reduced)
+    object.__setattr__(pres, "_groebner", gd)  # Presentation is frozen
+    return gd
 
 
 def classify_branches(gd: GroebnerData) -> dict:

@@ -83,9 +83,6 @@ class BasedComplex:
 
     # -- transfer maps ---------------------------------------------------------
 
-    def apply(self, fn, fs: FormalSum) -> FormalSum:
-        return fs.map_terms(fn)
-
     def p(self, cell) -> FormalSum:
         """Projection onto critical cells (same degree)."""
         got = self._p_cache.get(cell)
@@ -101,7 +98,7 @@ class BasedComplex:
             if key in self._busy:
                 raise ValueError("zigzag cycle detected")
             self._busy.add(key)
-            got = self.apply(self.p, self.thick(self.up[cell])).scale(self.dotted_weight(cell))
+            got = self.thick(self.up[cell]).map_terms(self.p).scale(self.dotted_weight(cell))
             self._busy.discard(key)
         self._p_cache[cell] = got
         return got
@@ -139,7 +136,7 @@ class BasedComplex:
         """Differential induced on critical cells."""
         if self.status(cell) != "critical":
             raise ValueError(f"morse_diff expects a critical cell, got {cell!r}")
-        return self.apply(self.p, self.diff(cell))
+        return self.diff(cell).map_terms(self.p)
 
 
 def verify_sdr(cx: BasedComplex) -> list[str]:
@@ -147,24 +144,21 @@ def verify_sdr(cx: BasedComplex) -> list[str]:
     bad = []
     cells = [c for d in sorted(cx.cells_by_degree) for c in cx.cells_by_degree[d]]
 
-    def ap(fn, fs):
-        return fs.map_terms(fn)
-
     for c in cells:
-        if ap(cx.diff, cx.diff(c)):
+        if cx.diff(c).map_terms(cx.diff):
             bad.append(f"d∘d != 0 at {c!r}")
-        lhs = FormalSum.lift(c) - ap(cx.i, cx.p(c))
-        rhs = ap(cx.diff, cx.h(c)) + ap(cx.h, cx.diff(c))
+        lhs = FormalSum.lift(c) - cx.p(c).map_terms(cx.i)
+        rhs = cx.h(c).map_terms(cx.diff) + cx.diff(c).map_terms(cx.h)
         if lhs != rhs:
             bad.append(f"id - i∘p != d∘h + h∘d at {c!r}")
-        if ap(cx.h, cx.h(c)):
+        if cx.h(c).map_terms(cx.h):
             bad.append(f"h∘h != 0 at {c!r}")
-        if ap(cx.p, cx.h(c)):
+        if cx.h(c).map_terms(cx.p):
             bad.append(f"p∘h != 0 at {c!r}")
     for d in sorted(cx.cells_by_degree):
         for c in cx.critical(d):
-            if ap(cx.p, cx.i(c)) != FormalSum.lift(c):
+            if cx.i(c).map_terms(cx.p) != FormalSum.lift(c):
                 bad.append(f"p∘i != id at {c!r}")
-            if ap(cx.h, cx.i(c)):
+            if cx.i(c).map_terms(cx.h):
                 bad.append(f"h∘i != 0 at {c!r}")
     return bad

@@ -1,12 +1,17 @@
+import gc
 import json
+import random
 import subprocess
 import sys
+import weakref
 
 import pytest
 
 import toupie.presentation
-from tests.conftest import three_branch_presentation
-from toupie.cli import main, parse_presentation, presentation_payload
+import toupie.rewriting
+from tests.conftest import overlap_monomial_presentation, three_branch_presentation
+from toupie.cli import _COMMAND_NAMES, main, parse_presentation, presentation_payload
+from toupie.presentation import Path
 from toupie.random_presentations import GeneratorConfig, random_presentation
 from toupie.rewriting import build_groebner, classify_branches
 
@@ -314,3 +319,43 @@ def test_one_shape_check_per_job(capsys, monkeypatch, e1_path):
         code, _, _ = run_cli(capsys, command, e1_path)
         assert code == 0, command
         assert len(calls) == 1, (command, len(calls))
+
+
+def test_one_reduction_per_presentation(capsys, monkeypatch, e1_path):
+    orig = toupie.rewriting._split_relations
+    reduced = []
+
+    def counted(pres):
+        reduced.append(pres)
+        return orig(pres)
+
+    monkeypatch.setattr(toupie.rewriting, "_split_relations", counted)
+    for command in ("gr", "yoneda", "double-dual"):
+        reduced.clear()
+        run_cli(capsys, command, e1_path)
+        # the parsed input among them: no presentation is reduced twice
+        assert reduced and len({id(p) for p in reduced}) == len(reduced), command
+
+
+def test_reports_do_not_depend_on_the_intern_table(capsys, monkeypatch, tmp_path, e1_path):
+    # paths hash by identity, so set order follows memory addresses; no
+    # report may depend on it
+    def reports():
+        return [
+            run_cli(capsys, command, e1_path, "--format", "json", "--seed", "3")[:2]
+            for command in _COMMAND_NAMES
+        ]
+
+    monkeypatch.setattr(Path, "_table", weakref.WeakValueDictionary())
+    fresh = reports()
+    monkeypatch.undo()
+    other = write_input(tmp_path, overlap_monomial_presentation(), "other.json")
+    for command in _COMMAND_NAMES:
+        run_cli(capsys, command, other)
+    specs = [(p.source, p.arrows) for p in three_branch_presentation().quiver.all_paths()]
+    for seed in range(8):
+        gc.collect()
+        random.Random(seed).shuffle(specs)
+        live = [Path(*spec) for spec in specs]  # the example's paths, at shuffled addresses
+        assert reports() == fresh, seed
+        del live

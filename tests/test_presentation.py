@@ -1,6 +1,8 @@
 """Paths, sums, quiver shape checks."""
 from __future__ import annotations
 
+import gc
+import json
 from fractions import Fraction
 from itertools import product
 
@@ -19,6 +21,7 @@ from toupie.presentation import (
     lincomb_mul,
     validate_toupie,
 )
+from toupie.cli import main, parse_presentation, presentation_payload
 from toupie.rewriting import build_groebner, classify_branches
 from tests.conftest import three_branch_presentation
 
@@ -40,22 +43,81 @@ def test_path_compose_and_slice(three_branch):
 def test_bad_path_rejected():
     a = Arrow("x", "u", "v")
     b = Arrow("y", "w", "z")
-    with pytest.raises(ValueError):
-        Path("u", (a, b))
+    for _ in range(2):  # a rejected path is not interned, so it is rejected again
+        with pytest.raises(ValueError):
+            Path("u", (a, b))
+    assert ("u", (a, b)) not in Path._table
+
+
+def test_equal_paths_are_one_object(three_branch):
+    q = three_branch.quiver
+    p = q.path("a1", "a2", "a3")
+    assert Path("0", list(p.arrows)) is p
+    assert p.slice(1, 3) is q.path("a2", "a3")
+    assert compose(q.path("a1"), q.path("a2", "a3")) is p
+    assert q.trivial("a12") is Path("a12", ()) is p.slice(1, 1)
+    with pytest.raises(AttributeError):
+        p.source = "w"
+    # a second quiver parsed from the same JSON builds the very same paths
+    again = parse_presentation(json.loads(json.dumps(presentation_payload(three_branch))))
+    assert again.quiver is not q
+    assert again.quiver.path("a1", "a2", "a3") is p
+    assert all(x is y for x, y in zip(branches_of(again.quiver), branches_of(q)))
+
+
+def test_same_names_other_endpoints_stay_distinct():
+    x_to_v, x_to_w = Arrow("x", "u", "v"), Arrow("x", "u", "w")
+    p, r = Path("u", (x_to_v,)), Path("u", (x_to_w,))
+    assert p != r and p is not r
+    assert (p.target, r.target) == ("v", "w")
+    assert repr(p) == repr(r) == "x"
+
+
+def test_intern_table_does_not_leak(tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(presentation_payload(three_branch_presentation())))
+    gc.collect()
+    before = len(Path._table)
+    for command in ("sdr-check", "ext-products", "double-dual", "oracle-diff"):
+        main([command, str(path), "--format", "json"])
+        capsys.readouterr()
+        gc.collect()
+        assert len(Path._table) == before, command
 
 
 coeffs = st.fractions(max_denominator=20)
 
 
-@given(st.lists(st.tuples(st.integers(0, 4), coeffs), max_size=8))
-def test_formal_sum_never_stores_zero(pairs):
-    s = FormalSum()
-    for k, c in pairs:
-        s.add_term(k, c)
-    total: dict = {}
-    for k, c in pairs:
-        total[k] = total.get(k, Fraction(0)) + c
-    assert s.terms == {k: c for k, c in total.items() if c}
+scalars = st.one_of(
+    st.sampled_from([0, 1, -1, True, False, Fraction(0), Fraction(1), Fraction(-1)]),
+    st.integers(-3, 3),
+    coeffs,
+)
+sum_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.integers(0, 3), scalars),
+        st.tuples(st.just("scale"), st.none(), scalars),
+    ),
+    max_size=12,
+)
+
+
+@given(sum_ops)
+def test_formal_sum_never_stores_zero(ops):
+    s, model = FormalSum(), {}
+    for op, key, c in ops:
+        if op == "add":
+            s.add_term(key, c)
+            model[key] = model.get(key, Fraction(0)) + Fraction(c)
+        else:
+            before = dict(s.terms)
+            scaled = s.scale(c)
+            assert scaled.terms is not s.terms and s.terms == before
+            s = scaled
+            model = {k: v * Fraction(c) for k, v in model.items()}
+        assert s.terms == {k: v for k, v in model.items() if v}
+        # exact and never zero: an int here would turn -1 / coeff into a float
+        assert all(type(v) is Fraction and v for v in s.terms.values())
 
 
 @given(
