@@ -23,7 +23,7 @@ from .presentation import (
     branches_of,
     lincomb_mul,
 )
-from .rewriting import GroebnerData, build_groebner, rref, special_basis
+from .rewriting import GroebnerData, build_groebner, rref
 
 __all__ = [
     "AlgebraPresentation",
@@ -121,13 +121,6 @@ class HypothesesError(ValueError):
         super().__init__("; ".join(self.reasons))
 
 
-def _special_rows(g: GroebnerData):
-    """Support of each special-basis relation, branch blocks longest first."""
-    return [
-        [(g.branch_order[j], c) for j, c in enumerate(row) if c] for row in special_basis(g.matrix)
-    ]
-
-
 def hypotheses_check(g: GroebnerData) -> HypothesesReport:
     """Can the double dual recover the associated graded algebra?
 
@@ -156,7 +149,7 @@ def hypotheses_check(g: GroebnerData) -> HypothesesReport:
                     ", ".join(repr(t) for t in tips),
                 )
             )
-    for supp in _special_rows(g):
+    for supp in g.special_rows:
         min_len = min(len(b) for b, _ in supp)
         if min_len != 2:
             reasons.append(
@@ -176,7 +169,7 @@ def gr_algebra(pres: Presentation) -> AlgebraPresentation:
     """
     g = build_groebner(pres)
     rels_out = []
-    for supp in _special_rows(g):
+    for supp in g.special_rows:
         min_len = min(len(b) for b, _ in supp)
         k0 = next(i for i, (b, _) in enumerate(supp) if len(b) == min_len)
         c0 = supp[k0][1]

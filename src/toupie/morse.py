@@ -107,10 +107,12 @@ class BarSDR:
     @property
     def complex(self) -> BasedComplex:
         if self._cx is None:
-            cells = bar_words(self.gd)
+            # the differential closes over gd, not self: no BarSDR <-> complex cycle,
+            # so a finished job frees its bar complex without the cyclic collector
+            gd, cells = self.gd, bar_words(self.gd)
             self._cx = BasedComplex(
                 cells,
-                lambda w: bar_differential(self.gd, w),
+                lambda w: bar_differential(gd, w),
                 build_matching(self.cg, cells),
             )
         return self._cx

@@ -7,19 +7,43 @@ tips generate the ideal of leading terms, and the tip-free paths ("nontips")
 form a linear basis of the quotient algebra.  `_split_relations` is the one
 place that rejects malformed relations, and `classify_branches` reads the
 branch classes off the reduced data.
+
+`rref` and `special_basis` are fraction-free: they clear each row's
+denominators once, do every row operation on integer vectors, and divide into
+`Fraction`s once at the end, so no entry is normalised per operation.  Their
+results are exactly those of the same operations done over `Fraction`.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .presentation import FormalSum, Path, Presentation, branches_of
 
 __all__ = ["rref", "special_basis", "GroebnerData", "build_groebner", "classify_branches"]
 
 
+def _integer_row(row):
+    """(integer vector, positive common denominator) whose quotient is `row`."""
+    xs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+    den = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (den // x.denominator) for x in xs], den
+
+
+def _primitive(v):
+    """An integer vector divided by the gcd of its entries."""
+    g = gcd(*v)
+    return [a // g for a in v] if g > 1 else v
+
+
 def rref(rows):
-    """Reduced row echelon form over Q.  Returns (rows_without_zero_rows, pivot_columns)."""
-    m = [[Fraction(x) for x in row] for row in rows]
+    """Reduced row echelon form over Q.  Returns (rows_without_zero_rows, pivot_columns).
+
+    Fraction-free: each row is scaled to a primitive integer vector, eliminated
+    as p*row - f*pivot_row over Z (then divided by its content), and divided by
+    its pivot once at the end.  The entries returned are `Fraction`s.
+    """
+    m = [_primitive(_integer_row(row)[0]) for row in rows]
     ncols = len(m[0]) if m else 0
     pivots = []
     r = 0
@@ -28,17 +52,17 @@ def rref(rows):
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        prow = m[r]
+        p = prow[c]
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != r:
+                m[i] = _primitive([p * a - f * b for a, b in zip(row, prow)])
         pivots.append(c)
         r += 1
         if r == len(m):
             break
-    return m[:r], pivots
+    return [[Fraction(a, row[c]) for a in row] for row, c in zip(m, pivots)], pivots
 
 
 def special_basis(rows):
@@ -48,23 +72,34 @@ def special_basis(rows):
     nonzero entry there is its last (everything strictly to the right is zero),
     and clear the column above that row.  The first column with no such row
     stops the whole sweep.
+
+    Fraction-free: each row is kept as an integer vector over a positive
+    denominator, cleared as (v_j*p - f*v_i) / (d_j*p) and reduced by the common
+    gcd; the entries returned are `Fraction`s.
     """
-    m = [[Fraction(x) for x in row] for row in rows]
+    m = [_integer_row(row) for row in rows]
     if not m:
-        return m
-    ncols = len(m[0])
-    for c in range(ncols - 1, -1, -1):
-        candidates = [
-            i for i in range(len(m)) if m[i][c] and all(x == 0 for x in m[i][c + 1 :])
-        ]
-        if not candidates:
+        return []
+    for c in range(len(m[0][0]) - 1, -1, -1):
+        i = next(
+            (i for i in range(len(m) - 1, -1, -1) if m[i][0][c] and not any(m[i][0][c + 1 :])),
+            None,
+        )
+        if i is None:
             break
-        i = candidates[-1]
+        vi = m[i][0]
+        p = vi[c]
         for j in range(i):
-            if m[j][c]:
-                f = m[j][c] / m[i][c]
-                m[j] = [a - f * b for a, b in zip(m[j], m[i])]
-    return m
+            vj, dj = m[j]
+            f = vj[c]
+            if f:
+                v = [p * a - f * b for a, b in zip(vj, vi)]
+                d = dj * p
+                if d < 0:
+                    v, d = [-a for a in v], -d
+                g = gcd(d, *v)
+                m[j] = [a // g for a in v], d // g
+    return [[Fraction(a, d) for a in v] for v, d in m]
 
 
 def _split_relations(pres: Presentation):
@@ -173,6 +208,17 @@ class GroebnerData:
                     by_deg[d] = nxt
                 frontier = nxt
             got = self._nontips = {d: tuple(sorted(ps, key=Path.sort_key)) for d, ps in by_deg.items()}
+        return got
+
+    @property
+    def special_rows(self) -> tuple[tuple[tuple[Path, Fraction], ...], ...]:
+        """Support of each special-basis relation, branch blocks longest first."""
+        got = getattr(self, "_special", None)
+        if got is None:
+            got = self._special = tuple(
+                tuple((self.branch_order[j], c) for j, c in enumerate(row) if c)
+                for row in special_basis(self.matrix)
+            )
         return got
 
     @property

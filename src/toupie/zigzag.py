@@ -46,9 +46,12 @@ class BasedComplex:
             self.down[hi] = lo
         if set(self.up) & set(self.down):
             raise ValueError("a cell is matched both up and down")
+        self._weight = {}
         for lo, hi in self.up.items():
-            if not self.diff(hi).coeff(lo):
+            c = self.diff(hi).coeff(lo)
+            if not c:
                 raise ValueError(f"matched coefficient of {lo!r} in d({hi!r}) is zero")
+            self._weight[lo] = -1 / c
         self._p_cache: dict = {}
         self._I_cache: dict = {}
         self._busy: set = set()
@@ -72,7 +75,7 @@ class BasedComplex:
         return tuple(c for c in self.cells_by_degree.get(degree, ()) if self.status(c) == "critical")
 
     def dotted_weight(self, lower) -> Fraction:
-        return -1 / self.diff(self.up[lower]).coeff(lower)
+        return self._weight[lower]
 
     def thick(self, cell) -> FormalSum:
         d = self.diff(cell)
@@ -147,13 +150,14 @@ def verify_sdr(cx: BasedComplex) -> list[str]:
     for c in cells:
         if cx.diff(c).map_terms(cx.diff):
             bad.append(f"d∘d != 0 at {c!r}")
+        hc = cx.h(c)
         lhs = FormalSum.lift(c) - cx.p(c).map_terms(cx.i)
-        rhs = cx.h(c).map_terms(cx.diff) + cx.diff(c).map_terms(cx.h)
+        rhs = hc.map_terms(cx.diff) + cx.diff(c).map_terms(cx.h)
         if lhs != rhs:
             bad.append(f"id - i∘p != d∘h + h∘d at {c!r}")
-        if cx.h(c).map_terms(cx.h):
+        if hc.map_terms(cx.h):
             bad.append(f"h∘h != 0 at {c!r}")
-        if cx.h(c).map_terms(cx.p):
+        if hc.map_terms(cx.p):
             bad.append(f"p∘h != 0 at {c!r}")
     for d in sorted(cx.cells_by_degree):
         for c in cx.critical(d):

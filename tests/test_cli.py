@@ -337,6 +337,23 @@ def test_one_reduction_per_presentation(capsys, monkeypatch, e1_path):
         assert reduced and len({id(p) for p in reduced}) == len(reduced), command
 
 
+def test_one_special_sweep_per_reduction(capsys, monkeypatch, e1_path):
+    orig = toupie.rewriting.special_basis
+    swept = []
+
+    def counted(rows):
+        swept.append(rows)
+        return orig(rows)
+
+    monkeypatch.setattr(toupie.rewriting, "special_basis", counted)
+    # gr and yoneda sweep the input; double-dual sweeps the input and its dual
+    for command, sweeps in (("gr", 1), ("yoneda", 1), ("double-dual", 2)):
+        swept.clear()
+        run_cli(capsys, command, e1_path)
+        assert len(swept) == sweeps, command
+        assert len({id(rows) for rows in swept}) == sweeps, command
+
+
 def test_reports_do_not_depend_on_the_intern_table(capsys, monkeypatch, tmp_path, e1_path):
     # paths hash by identity, so set order follows memory addresses; no
     # report may depend on it

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from tests.conftest import single_chain_presentation
@@ -141,3 +144,16 @@ def test_oracle_identities_on_longer_tips():
     assert BarSDR(build_groebner(pres)).verify() == []
     pres = single_chain_presentation([["d1", "d2", "d3"], ["d2", "d3", "d4"]])
     assert BarSDR(build_groebner(pres)).verify() == []
+
+
+def test_bar_complex_freed_without_the_cyclic_collector(three_branch):
+    gd = build_groebner(three_branch)
+    sdr = BarSDR(gd)
+    assert not sdr.verify(2)
+    cx = weakref.ref(sdr.complex)
+    gc.disable()
+    try:
+        del sdr
+        assert cx() is None
+    finally:
+        gc.enable()

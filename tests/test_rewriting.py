@@ -5,29 +5,78 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toupie.presentation import FormalSum, Path, Presentation, Quiver
 from toupie.rewriting import build_groebner, rref, special_basis
 from tests.conftest import three_branch_presentation
 
-matrices = st.lists(
-    st.lists(st.fractions(max_denominator=6), min_size=4, max_size=4),
-    min_size=1,
-    max_size=4,
+entries = st.one_of(
+    st.just(0),
+    st.integers(-(10**6), 10**6),
+    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=50),
 )
 
 
-@given(matrices)
-@settings(max_examples=60)
+@st.composite
+def matrices(draw, max_rows=7, max_cols=9):
+    """Up to 7x9, ints and Fractions, list or tuple rows, with zero and duplicated rows."""
+    ncols = draw(st.integers(1, max_cols))
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), max_size=max_rows - 2))
+    if rows and draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), list(draw(st.sampled_from(rows))))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * ncols)
+    shape = draw(st.sampled_from([list, tuple]))
+    return [shape(row) for row in rows]
+
+
+def all_fractions(rows):
+    # callers divide entries (gr_algebra: c / c0); an int there would give a float
+    return all(type(x) is Fraction for row in rows for x in row)
+
+
+@given(matrices())
+@example([])
+@settings(max_examples=80)
 def test_rref_matches_sympy(rows):
     ours, pivots = rref(rows)
-    m = sympy.Matrix([[sympy.Rational(x) for x in row] for row in rows])
+    assert all_fractions(ours)
+    if not rows:
+        assert (ours, pivots) == ([], [])
+        return
+    m = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows])
     ref, piv = m.rref()
     assert list(pivots) == list(piv)
     kept = [[Fraction(int(ref[i, j].p), int(ref[i, j].q)) for j in range(ref.cols)] for i in range(len(piv))]
     assert ours == kept
+
+
+def textbook_special_basis(rows):
+    """The sweep of `special_basis`, entry by entry over Fraction."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    for c in reversed(range(len(m[0]) if m else 0)):
+        ends_here = [i for i, row in enumerate(m) if row[c] != 0 and not any(row[c + 1 :])]
+        if not ends_here:
+            break
+        i = ends_here[-1]
+        for j in range(i):
+            if m[j][c] != 0:
+                f = m[j][c] / m[i][c]
+                m[j] = [a - f * b for a, b in zip(m[j], m[i])]
+    return m
+
+
+@given(matrices(), st.booleans())
+@example([], False)
+@settings(max_examples=80)
+def test_special_basis_matches_textbook_sweep(rows, reduce_first):
+    if reduce_first:
+        rows, _ = rref(rows)
+    swept = special_basis(rows)
+    assert swept == textbook_special_basis(rows)
+    assert all_fractions(swept)
 
 
 def rowspace(rows):
@@ -35,7 +84,7 @@ def rowspace(rows):
     return m.rowspace()
 
 
-@given(matrices)
+@given(matrices())
 @settings(max_examples=40)
 def test_special_basis_preserves_rowspace(rows):
     reduced, _ = rref(rows)
