@@ -2,9 +2,12 @@
 
 A word [w1|...|w_{n+1}] of nontrivial nontips is an n-chain when w1 is an
 arrow and every product w_i w_{i+1} lands in the tip ideal while no proper
-prefix of it does.  Chains are the critical cells of the bar resolution and
-index its minimal model; each chain is determined by its underlying path, and
-parsing a path back into its chain word is a greedy left-to-right scan.
+prefix of it does.  Each nontrivial path lies in one branch, so a letter w_i
+has exactly one candidate successor: its cut, the shortest path v after w_i
+with w_i v in the tip ideal (`TipIdeal.cut`).  w_{i+1} must be that cut and a
+nontip.  Chains are the critical cells of the bar resolution and index its
+minimal model; each chain is determined by its underlying path, and parsing a
+path back into its chain word follows the cuts from its first arrow.
 """
 from __future__ import annotations
 
@@ -24,47 +27,23 @@ def underlying_path(word) -> Path:
 
 
 class ChainGraph:
-    """Vertices: arrows and proper right factors of tips.  Checks and parses chain words."""
+    """Checks, parses and enumerates chain words over the tips of `gd`."""
 
     def __init__(self, gd: GroebnerData):
         self.gd = gd
-        q = gd.quiver
-        verts = {Path(a.src, (a,)) for a in q.arrows}
-        for t in gd.tips:
-            for i in range(1, len(t)):
-                verts.add(t.slice(i, len(t)))
-        self.letter_vertices = frozenset(verts)
-        self._edge_cache: dict = {}
         self._parse_cache: dict = {}
-
-    def is_letter_vertex(self, p: Path) -> bool:
-        return p in self.letter_vertices
-
-    def has_edge(self, u: Path, v: Path) -> bool:
-        """u -> v: the product falls in the tip ideal, no proper prefix of it does."""
-        key = (u, v)
-        got = self._edge_cache.get(key)
-        if got is None:
-            got = (
-                u.target == v.source
-                and self.is_letter_vertex(u)
-                and self.is_letter_vertex(v)
-                and self.gd.contains_tip(compose(u, v))
-                and not self.gd.contains_tip(compose(u, v).slice(0, len(u) + len(v) - 1))
-            )
-            self._edge_cache[key] = got
-        return got
 
     # -- words ---------------------------------------------------------------
 
     def prefix_chain_length(self, word) -> int:
         """Largest k such that the first k letters form a chain (0 if none)."""
-        if not word or len(word[0]) != 1 or not self.gd.is_nontip(word[0]):
+        if not word or len(word[0]) != 1:
             return 0
+        ideal = self.gd.tip_ideal
         k = 1
         while k < len(word):
-            w, x = word[k - 1], word[k]
-            if x.is_trivial or not self.gd.is_nontip(x) or not self.has_edge(w, x):
+            x = word[k]
+            if x is not ideal.cut(word[k - 1]) or x in ideal:
                 break
             k += 1
         return k
@@ -75,8 +54,8 @@ class ChainGraph:
     def parse(self, path: Path):
         """The chain word with underlying path `path`, or None.
 
-        Greedy: first letter is the first arrow, each next letter the unique
-        prefix of the remainder extending the word by an edge.
+        The first letter is the first arrow, each next letter the cut of the
+        one before; the path parses when the cuts tile it and are nontips.
         """
         got = self._parse_cache.get(path, False)
         if got is not False:
@@ -88,46 +67,34 @@ class ChainGraph:
     def _parse(self, path: Path):
         if len(path) == 0:
             return None
+        ideal = self.gd.tip_ideal
         letters = [path.slice(0, 1)]
         i = 1
         while i < len(path):
-            last = letters[-1]
-            step = None
-            for j in range(i + 1, len(path) + 1):
-                p = path.slice(i, j)
-                if self.has_edge(last, p):
-                    step = p
-                    break
-                # any longer prefix would contain a tip before its last arrow
-                if self.gd.contains_tip(compose(last, p)):
-                    break
-            if step is None:
+            v = ideal.cut(letters[-1])
+            if v is None or i + len(v) > len(path) or v in ideal:
                 return None
-            letters.append(step)
-            i += len(step)
-        word = tuple(letters)
-        return word if self.is_chain(word) else None
+            letters.append(v)  # the cut starts where the path goes on
+            i += len(v)
+        return tuple(letters)
 
     def chains(self, degree: int):
         """All chains of the given degree (a d-chain has d+1 letters), d >= 0."""
         got = getattr(self, "_chains", None)
         if got is None:
             got = self._chains = {}
+        ideal = self.gd.tip_ideal
         while degree >= len(got):
             d = len(got)
             if d == 0:
-                layer = [
-                    (Path(a.src, (a,)),)
-                    for a in self.gd.quiver.arrows
-                    if self.gd.is_nontip(Path(a.src, (a,)))
-                ]
+                # every tip has length >= 2, so every arrow is a nontip
+                layer = [(Path(a.src, (a,)),) for a in self.gd.quiver.arrows]
             else:
                 layer = []
                 for word in got[d - 1]:
-                    last = word[-1]
-                    for v in self.letter_vertices:
-                        if self.gd.is_nontip(v) and self.has_edge(last, v):
-                            layer.append(word + (v,))
+                    v = ideal.cut(word[-1])
+                    if v is not None and v not in ideal:
+                        layer.append(word + (v,))
             got[d] = sorted(layer, key=lambda w: underlying_path(w).sort_key())
         return got[degree]
 

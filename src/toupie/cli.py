@@ -125,7 +125,8 @@ def parse_presentation(data, where: str = "input") -> Presentation:
     _expect(isinstance(verts, list) and verts, f"{where}.vertices", "expected a nonempty list")
     for i, v in enumerate(verts):
         _expect(isinstance(v, str), f"{where}.vertices[{i}]", "expected a string")
-    _expect(len(set(verts)) == len(verts), f"{where}.vertices", "duplicate vertex names")
+    vert_set = set(verts)
+    _expect(len(vert_set) == len(verts), f"{where}.vertices", "duplicate vertex names")
 
     raw_arrows = data["arrows"]
     _expect(isinstance(raw_arrows, list), f"{where}.arrows", "expected a list")
@@ -140,7 +141,7 @@ def parse_presentation(data, where: str = "input") -> Presentation:
             _expect(key in item, loc, f"missing key {key!r}")
             _expect(isinstance(item[key], str), f"{loc}.{key}", "expected a string")
         for key in ("src", "dst"):
-            _expect(item[key] in set(verts), f"{loc}.{key}", f"unknown vertex {item[key]!r}")
+            _expect(item[key] in vert_set, f"{loc}.{key}", f"unknown vertex {item[key]!r}")
         _expect(item["name"] not in seen, f"{loc}.name", f"duplicate arrow name {item['name']!r}")
         seen.add(item["name"])
         arrows.append((item["name"], item["src"], item["dst"]))

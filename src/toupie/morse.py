@@ -54,17 +54,8 @@ def bar_differential(gd: GroebnerData, word) -> FormalSum:
     return out
 
 
-def _tip_cut(gd: GroebnerData, prev: Path, w: Path):
-    """The shortest head length j >= 1 with prev * w[:j] in the tip ideal, or None."""
-    return next(
-        (j for j in range(1, len(w) + 1) if gd.contains_tip(compose(prev, w.slice(0, j)))),
-        None,
-    )
-
-
 def classify_word(cg: ChainGraph, word):
     """('critical', None) | ('lower', split partner) | ('upper', merge partner)."""
-    gd = cg.gd
     k = cg.prefix_chain_length(word)
     if k == len(word):
         return "critical", None
@@ -73,11 +64,12 @@ def classify_word(cg: ChainGraph, word):
         # first letter is not an arrow: split off its first arrow
         pr_len = 1
     else:
-        pr_len = _tip_cut(gd, word[k - 1], w)
-        if pr_len is None:
+        cut = cg.gd.tip_ideal.cut(word[k - 1])
+        if cut is None or len(cut) > len(w):
             # nothing to split: this word absorbs its successor instead
             merged = compose(word[k - 1], w)
             return "upper", word[: k - 1] + (merged,) + word[k + 1 :]
+        pr_len = len(cut)
         if pr_len == len(w):
             raise AssertionError(f"full-letter split would extend the chain prefix: {word}")
     split = word[:k] + (w.slice(0, pr_len), w.slice(pr_len, len(w))) + word[k + 1 :]
@@ -123,9 +115,8 @@ class BarSDR:
         """Every adjacent letter product falls in the tip ideal."""
         if isinstance(word, Path):
             return False
-        return all(
-            self.gd.contains_tip(compose(a, b)) for a, b in zip(word, word[1:])
-        )
+        ideal = self.gd.tip_ideal
+        return all(compose(a, b) in ideal for a, b in zip(word, word[1:]))
 
     def _split_merge(self, word):
         """Iterated split-and-merge on an attached non-chain: (homotopy terms, projection)."""
@@ -139,9 +130,10 @@ class BarSDR:
             if k == 0:
                 pr_len = 1
             else:
-                pr_len = _tip_cut(self.gd, cur[k - 1], w)
-                if pr_len in (None, len(w)):
+                cut = self.gd.tip_ideal.cut(cur[k - 1])
+                if cut is None or len(cut) >= len(w):
                     raise ValueError(f"input not attached: {cur!r}")
+                pr_len = len(cut)
             head, tail = w.slice(0, pr_len), w.slice(pr_len, len(w))
             split = cur[:k] + (head, tail) + cur[k + 1 :]
             h.add_term(split, (-1) ** k)

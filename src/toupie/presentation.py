@@ -2,11 +2,12 @@
 
 A *toupie* quiver has one source vertex, one sink vertex, and every other
 vertex has exactly one incoming and one outgoing arrow, so the arrows split
-into parallel *branches* (maximal source-to-sink paths).  Algebras are
-presented as a quotient of the path algebra over Q by relations that are
-either a subpath of a branch (monomial) or a linear combination of whole
-branches (non-monomial).  The relation shape checks and the branch classes
-live with the reduced relations in `rewriting`.
+into parallel *branches* (maximal source-to-sink paths), and every nontrivial
+path lies in exactly one branch: it is the interval of that branch that starts
+at its first arrow.  Algebras are presented as a quotient of the path algebra
+over Q by relations that are either a subpath of a branch (monomial) or a
+linear combination of whole branches (non-monomial).  The relation shape
+checks and the branch classes live with the reduced relations in `rewriting`.
 
 Paths are interned: equal paths are one object, so the dicts and sets keyed
 by paths (and by tuples of paths, such as bar cells) hash and compare them by
@@ -111,13 +112,6 @@ class Path:
             raise IndexError((i, j))
         src = self.source if i == 0 else self.arrows[i - 1].dst
         return Path(src, self.arrows[i:j])
-
-    def contains(self, sub: "Path") -> bool:
-        """Does `sub` occur as a (consecutive) subpath?"""
-        if sub.is_trivial:
-            return sub.source == self.source or any(a.dst == sub.source for a in self.arrows)
-        n, m = len(self.arrows), len(sub.arrows)
-        return any(self.arrows[i : i + m] == sub.arrows for i in range(n - m + 1))
 
 
 def compose(p: Path, q: Path) -> Path:

@@ -8,6 +8,15 @@ form a linear basis of the quotient algebra.  `_split_relations` is the one
 place that rejects malformed relations, and `classify_branches` reads the
 branch classes off the reduced data.
 
+The ideal of leading terms is a `TipIdeal`.  Every nontrivial path is the
+interval [i, i + len) of exactly one branch, so the ideal keeps a map
+arrow -> (branch, offset) and, per branch b, a suffix-minimum array: ends[b][i]
+is the least end of a tip on b that starts at or after i (len(b) + 1 if none).
+A path [i, j) of b contains a tip exactly when ends[b][i] <= j, and the
+shortest continuation of a nontip [i, e) into the ideal is [e, ends[b][i]).
+A whole-branch tip is contained only in itself, so one such index serves
+monomial and non-monomial tips alike.
+
 `rref` and `special_basis` are fraction-free: they clear each row's
 denominators once, do every row operation on integer vectors, and divide into
 `Fraction`s once at the end, so no entry is normalised per operation.  Their
@@ -20,7 +29,9 @@ from math import gcd, lcm
 
 from .presentation import FormalSum, Path, Presentation, branches_of
 
-__all__ = ["rref", "special_basis", "GroebnerData", "build_groebner", "classify_branches"]
+__all__ = [
+    "rref", "special_basis", "TipIdeal", "GroebnerData", "build_groebner", "classify_branches"
+]
 
 
 def _integer_row(row):
@@ -104,8 +115,8 @@ def special_basis(rows):
 
 def _split_relations(pres: Presentation):
     """Relations as (monomial paths, non-monomial combinations), with shape checks."""
-    branches = branches_of(pres.quiver)
-    branch_set = set(branches)
+    arrows = set(pres.quiver.arrows)
+    branch_set = set(branches_of(pres.quiver))
     mono, nonmono = [], []
     for rel in pres.relations:
         if rel.is_zero:
@@ -115,7 +126,8 @@ def _split_relations(pres: Presentation):
             p = terms[0]
             if len(p) < 2:
                 raise ValueError(f"monomial relation {p!r} shorter than 2")
-            if not any(b.contains(p) for b in branches):
+            # composable arrows of a toupie quiver run along one branch
+            if not arrows.issuperset(p.arrows):
                 raise ValueError(f"relation not of branch form: {p!r} is not a subpath of a branch")
             mono.append(p)
         else:
@@ -126,6 +138,40 @@ def _split_relations(pres: Presentation):
                     )
             nonmono.append(rel)
     return mono, nonmono
+
+
+class TipIdeal:
+    """The monomial ideal generated by a set of tips, indexed by branch interval."""
+
+    def __init__(self, quiver, tips=()):
+        self.branches = branches_of(quiver)
+        self.at = {a: (b, i) for b, br in enumerate(self.branches) for i, a in enumerate(br.arrows)}
+        self.ends = [[len(br) + 1] * (len(br) + 1) for br in self.branches]
+        for t in tips:
+            self.add(t)
+
+    def add(self, tip: Path) -> None:
+        b, i = self.at[tip.arrows[0]]
+        j = i + len(tip.arrows)
+        ends = self.ends[b]
+        # ends[b] is nondecreasing, so the update stops at the first entry <= j
+        while i >= 0 and ends[i] > j:
+            ends[i] = j
+            i -= 1
+
+    def __contains__(self, p: Path) -> bool:
+        """Does p contain a tip?"""
+        if not p.arrows:
+            return False
+        b, i = self.at[p.arrows[0]]
+        return self.ends[b][i] <= i + len(p.arrows)
+
+    def cut(self, prev: Path):
+        """The shortest path v after nontrivial nontip prev with prev * v in the ideal, or None."""
+        b, i = self.at[prev.arrows[0]]
+        j = self.ends[b][i]  # past the end of prev, as prev is a nontip
+        br = self.branches[b]
+        return br.slice(i + len(prev.arrows), j) if j <= len(br) else None
 
 
 class GroebnerData:
@@ -142,18 +188,8 @@ class GroebnerData:
         self.matrix: tuple[tuple[Fraction, ...], ...] = tuple(tuple(r) for r in matrix)
         self.nonmono_by_tip = {t: rel for t, rel in self.nonmono_rows}
         self.tips = frozenset(self.mono_tips) | frozenset(self.nonmono_by_tip)
+        self.tip_ideal = TipIdeal(self.quiver, self.tips)
         self._nf_cache: dict = {}
-
-    # -- tip ideal ---------------------------------------------------------
-
-    def contains_tip(self, p: Path) -> bool:
-        """Does p lie in the ideal of leading terms (i.e. contain a tip)?"""
-        if p in self.nonmono_by_tip:
-            return True
-        return any(p.contains(t) for t in self.mono_tips)
-
-    def is_nontip(self, p: Path) -> bool:
-        return not self.contains_tip(p)
 
     def tip_inverse(self, t: Path) -> FormalSum:
         """The reduced relation with tip t (a monomial tip is its own relation)."""
@@ -180,7 +216,7 @@ class GroebnerData:
         if got is None:
             if p in self.nonmono_by_tip:
                 got = self.tail_of(p).map_terms(self._nf_path)
-            elif any(p.contains(t) for t in self.mono_tips):
+            elif p in self.tip_ideal:  # contains a monomial tip
                 got = FormalSum()
             else:
                 got = FormalSum.lift(p)
@@ -202,7 +238,7 @@ class GroebnerData:
                 for p in frontier:
                     for a in self.quiver.out[p.target]:
                         q = Path(p.source, p.arrows + (a,))
-                        if self.is_nontip(q):
+                        if q not in self.tip_ideal:
                             nxt.append(q)
                 if nxt:
                     by_deg[d] = nxt
@@ -246,30 +282,28 @@ def build_groebner(pres: Presentation) -> GroebnerData:
         return pres._groebner
     mono, nonmono = _split_relations(pres)
 
-    # reduced monomial set: drop any monomial containing a shorter one
-    def reduce_mono(paths):
-        uniq = set(paths)
-        return [
-            p for p in sorted(uniq, key=Path.sort_key)
-            if not any(q != p and p.contains(q) for q in uniq)
-        ]
-
-    mono = reduce_mono(mono)
+    # reduced monomial set: shortest first, drop any monomial containing a kept one
+    ideal = TipIdeal(pres.quiver)
+    mono_tips = []
+    for p in sorted(set(mono), key=Path.sort_key):
+        if p not in ideal:
+            ideal.add(p)
+            mono_tips.append(p)
     pending = list(nonmono)
     while True:
         changed = False
         nxt = []
         for rel in pending:
-            kept = FormalSum(
-                {p: c for p, c in rel.terms.items() if not any(p.contains(t) for t in mono)}
-            )
+            kept = FormalSum({p: c for p, c in rel.terms.items() if p not in ideal})
             if len(kept.terms) != len(rel.terms):
                 changed = True
             if kept.is_zero:
                 continue
             if len(kept.terms) == 1:
+                # a whole branch outside the ideal: no monomial contains it
                 (b,) = kept.terms
-                mono = reduce_mono(mono + [b])
+                ideal.add(b)
+                mono_tips.append(b)
                 changed = True
                 continue
             nxt.append(kept)
@@ -294,7 +328,7 @@ def build_groebner(pres: Presentation) -> GroebnerData:
     for row, pc in zip(reduced, pivots):
         rel = FormalSum({involved[j]: c for j, c in enumerate(row) if c})
         nonmono_rows.append((involved[pc], rel))
-    gd = GroebnerData(pres, mono, nonmono_rows, involved, reduced)
+    gd = GroebnerData(pres, mono_tips, nonmono_rows, involved, reduced)
     object.__setattr__(pres, "_groebner", gd)  # Presentation is frozen
     return gd
 
@@ -306,17 +340,18 @@ def classify_branches(gd: GroebnerData) -> dict:
     branch, `monomial` for a branch containing a monomial tip, `nonmonomial`
     for a branch in a reduced non-monomial relation, `plain` otherwise.  They
     are exclusive, because the reduction drops every branch term that contains
-    a monomial tip from the non-monomial relations.
+    a monomial tip from the non-monomial relations; so a branch in the tip
+    ideal that is in no non-monomial relation contains a monomial tip.
     """
     in_nonmono = {b for _, rel in gd.nonmono_rows for b in rel.terms}
     out = {}
     for b in sorted(branches_of(gd.quiver), key=gd.pres.branch_order_key()):
         if len(b) == 1:
             out[b] = "arrow"
-        elif any(b.contains(t) for t in gd.mono_tips):
-            out[b] = "monomial"
         elif b in in_nonmono:
             out[b] = "nonmonomial"
+        elif b in gd.tip_ideal:
+            out[b] = "monomial"
         else:
             out[b] = "plain"
     return out

@@ -2,8 +2,9 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import strategies as st
 
-from toupie.presentation import FormalSum, Presentation, Quiver
+from toupie.presentation import FormalSum, Path, Presentation, Quiver
 
 
 def three_branch_presentation() -> Presentation:
@@ -52,6 +53,54 @@ def single_chain_presentation(tip_names: list[list[str]]) -> Presentation:
     )
     rels = tuple(FormalSum.lift(q.path(*names)) for names in tip_names)
     return Presentation(q, rels)
+
+
+def parallel_presentation(lengths, monomials=()) -> Presentation:
+    """Parallel branches 0 ==> w of the given lengths, with monomial relations.
+
+    Branch b has arrows x{b}_1 .. x{b}_n; a monomial is a (branch, start, stop)
+    interval of arrow positions.
+    """
+    vertices, arrows = ["0", "w"], []
+    for b, n in enumerate(lengths):
+        inner = [f"v{b}_{j}" for j in range(1, n)]
+        vertices.extend(inner)
+        stops = ["0"] + inner + ["w"]
+        arrows.extend((f"x{b}_{j + 1}", stops[j], stops[j + 1]) for j in range(n))
+    q = Quiver(vertices, arrows)
+    rels = tuple(
+        FormalSum.lift(q.path(*(f"x{b}_{j + 1}" for j in range(i, k))))
+        for b, i, k in dict.fromkeys(monomials)
+    )
+    return Presentation(q, rels)
+
+
+def lines_presentation(copies: int, length: int, k: int) -> Presentation:
+    """`copies` parallel copies of line(length, k): a length-k monomial at every position."""
+    monos = [(b, i, i + k) for b in range(copies) for i in range(length - k + 1)]
+    return parallel_presentation([length] * copies, monos)
+
+
+@st.composite
+def monomial_presentations(draw):
+    """Up to 4 parallel branches of length <= 7 with up to 8 (often overlapping) monomials."""
+    lengths = draw(st.lists(st.integers(1, 7), min_size=1, max_size=4))
+    intervals = draw(
+        st.lists(
+            st.tuples(st.integers(0, len(lengths) - 1), st.integers(0, 5), st.integers(2, 5)),
+            max_size=8,
+        )
+    )
+    monos = [(b, i, i + k) for b, i, k in intervals if i + k <= lengths[b]]
+    return parallel_presentation(lengths, monos)
+
+
+def occurs(p: Path, sub: Path) -> bool:
+    """Brute-force consecutive-subpath search: does `sub` occur in `p`?"""
+    if sub.is_trivial:
+        return sub.source == p.source or any(a.dst == sub.source for a in p.arrows)
+    m = len(sub.arrows)
+    return any(p.arrows[i : i + m] == sub.arrows for i in range(len(p.arrows) - m + 1))
 
 
 @pytest.fixture

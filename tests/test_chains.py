@@ -1,11 +1,21 @@
 """Chain words, their graph, parses and decompositions."""
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
+from hypothesis import given, settings
 
 from toupie.chains import ChainGraph, underlying_path
+from toupie.presentation import Path, compose
+from toupie.random_presentations import random_presentation
 from toupie.rewriting import build_groebner
-from tests.conftest import single_chain_presentation
+from tests.conftest import (
+    lines_presentation,
+    monomial_presentations,
+    occurs,
+    single_chain_presentation,
+)
 
 
 def names(word):
@@ -128,3 +138,88 @@ def test_prefix_chain_length(cg3):
     assert cg3.prefix_chain_length((q.path("c1"), q.path("c2"))) == 1
     # formal words with a tip letter never start a chain prefix past it
     assert cg3.prefix_chain_length((q.path("b1", "b2"),)) == 0
+
+
+# -- chains against the letter-graph definition, enumerated by brute force ------
+
+
+def brute_force_chains(gd, max_degree):
+    """Chain layers 0..max_degree by the letter-graph definition.
+
+    Letters are the arrows and the proper right factors of tips; u -> v is an
+    edge when u v contains a tip and u v without its last arrow does not.  A
+    d-chain is an arrow followed by d nontip letters along edges.
+    """
+    def in_ideal(p):
+        return any(occurs(p, t) for t in gd.tips)
+
+    arrows = [Path(a.src, (a,)) for a in gd.quiver.arrows]
+    letters = set(arrows) | {t.slice(i, len(t)) for t in gd.tips for i in range(1, len(t))}
+    successors = {
+        u: [
+            v for v in letters
+            if u.target == v.source
+            and not in_ideal(v)
+            and in_ideal(compose(u, v))
+            and not in_ideal(compose(u, v).slice(0, len(u) + len(v) - 1))
+        ]
+        for u in letters
+    }
+    layers = [[(a,) for a in arrows if not in_ideal(a)]]
+    for _ in range(max_degree):
+        layers.append([w + (v,) for w in layers[-1] for v in successors[w[-1]]])
+    return layers
+
+
+def assert_chains_are_brute_force(pres):
+    cg = ChainGraph(build_groebner(pres))
+    paths = pres.quiver.all_paths()
+    # a d-chain has at least d + 1 arrows, so these layers are all of them
+    layers = brute_force_chains(cg.gd, max(len(p) for p in paths))
+    assert layers[-1] == []
+    for d, layer in enumerate(layers):
+        assert cg.chains(d) == sorted(layer, key=lambda w: underlying_path(w).sort_key()), d
+        for w in cg.chains(d):
+            assert cg.is_chain(w)
+    by_path = {underlying_path(w): w for layer in layers for w in layer}
+    for p in paths:
+        if p.is_trivial:
+            continue
+        assert cg.parse(p) == by_path.get(p), p
+        # every way to write p as a word, tip-containing letters included
+        for cuts in product((False, True), repeat=len(p) - 1):
+            bounds = [0] + [j + 1 for j, c in enumerate(cuts) if c] + [len(p)]
+            word = tuple(p.slice(a, b) for a, b in zip(bounds, bounds[1:]))
+            assert cg.is_chain(word) == (by_path.get(p) == word), word
+
+
+@pytest.mark.parametrize(
+    "pres",
+    [lines_presentation(1, 6, 2), lines_presentation(1, 8, 3), lines_presentation(3, 6, 3)],
+    ids=["line-6-2", "line-8-3", "3xline-6-3"],
+)
+def test_chains_match_brute_force_on_lines(pres):
+    assert_chains_are_brute_force(pres)
+
+
+def test_chains_match_brute_force_on_random_draws():
+    for seed in range(30):
+        assert_chains_are_brute_force(random_presentation(seed))
+
+
+@given(monomial_presentations())
+@settings(max_examples=30, deadline=None)
+def test_chains_match_brute_force_on_overlapping_monomials(pres):
+    assert_chains_are_brute_force(pres)
+
+
+def test_chain_counts_scale_with_branch_copies():
+    # copies share only the source and sink, so no chain crosses between them
+    def counts(copies):
+        cg = ChainGraph(build_groebner(lines_presentation(copies, 8, 3)))
+        return [len(cg.chains(d)) for d in range(6)]
+
+    one = counts(1)
+    assert one == [8, 6, 5, 3, 2, 0]
+    for copies in (2, 3):
+        assert counts(copies) == [copies * n for n in one]

@@ -195,6 +195,39 @@ def test_schema_error_reports_path(capsys, tmp_path):
     assert "arrows[0]" in err and "color" in err
 
 
+_TWO_ARROWS = [{"name": "a", "src": "0", "dst": "m"}, {"name": "b", "src": "m", "dst": "w"}]
+
+
+@pytest.mark.parametrize(
+    "arrows, relations, message",
+    [
+        (
+            [{"name": "a", "src": "0", "dst": "m"}, {"name": "b", "src": "m", "dst": "v"}],
+            [],
+            "arrows[1].dst: unknown vertex 'v'",
+        ),
+        (
+            [{"name": "a", "src": "0", "dst": "m"}, {"name": "a", "src": "m", "dst": "w"}],
+            [],
+            "arrows[1].name: duplicate arrow name 'a'",
+        ),
+        (
+            _TWO_ARROWS,
+            [[{"coeff": "1", "path": ["a", "b"]}], [{"coeff": "1", "path": ["a", "c"]}]],
+            "relations[1][0].path[1]: unknown arrow 'c'",
+        ),
+    ],
+    ids=["unknown-vertex", "duplicate-arrow", "unknown-arrow-in-path"],
+)
+def test_schema_error_messages(capsys, tmp_path, arrows, relations, message):
+    path = tmp_path / "bad.json"
+    data = {"vertices": ["0", "m", "w"], "arrows": arrows, "relations": relations}
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 2 and out == ""
+    assert err == f"toupie: error: {path}.{message}\n"
+
+
 def test_usage_errors(capsys, e1_path):
     code, _, err = run_cli(capsys, "frobnicate", e1_path)
     assert code == 2 and "unknown command" in err

@@ -23,7 +23,7 @@ from toupie.presentation import (
 )
 from toupie.cli import main, parse_presentation, presentation_payload
 from toupie.rewriting import build_groebner, classify_branches
-from tests.conftest import three_branch_presentation
+from tests.conftest import occurs, three_branch_presentation
 
 
 def test_path_compose_and_slice(three_branch):
@@ -35,9 +35,18 @@ def test_path_compose_and_slice(three_branch):
     assert compose(q.path("a1"), q.path("a2", "a3")) == p
     with pytest.raises(ValueError):
         compose(q.path("a1"), q.path("a1"))
-    assert p.contains(q.path("a2"))
-    assert not p.contains(q.path("b1"))
-    assert p.contains(Path("a12", ()))  # trivial path at an inner vertex
+
+
+def test_brute_force_subpath_search(three_branch):
+    # `occurs` is the tests' stand-in for a generic subpath search
+    q = three_branch.quiver
+    p = q.path("a1", "a2", "a3")
+    assert occurs(p, q.path("a2"))
+    assert occurs(p, q.path("a2", "a3")) and occurs(p, p)
+    assert not occurs(p, q.path("b1"))
+    assert not occurs(q.path("a2"), p)
+    assert occurs(p, Path("a12", ()))  # trivial path at an inner vertex
+    assert not occurs(p, Path("b12", ()))
 
 
 def test_bad_path_rejected():

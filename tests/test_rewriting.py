@@ -8,9 +8,17 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toupie.presentation import FormalSum, Path, Presentation, Quiver
+from toupie.presentation import FormalSum, Path, Presentation, Quiver, compose
+from toupie.random_presentations import random_presentation
 from toupie.rewriting import build_groebner, rref, special_basis
-from tests.conftest import three_branch_presentation
+from tests.conftest import (
+    lines_presentation,
+    monomial_presentations,
+    occurs,
+    overlap_monomial_presentation,
+    single_chain_presentation,
+    three_branch_presentation,
+)
 
 entries = st.one_of(
     st.just(0),
@@ -241,3 +249,57 @@ def test_tail_of(three_branch):
     assert gd.tip_inverse(tip).coeff(tip) == 1
     with pytest.raises(KeyError):
         gd.tip_inverse(q.path("c1", "c2"))
+
+
+# -- the tip ideal against a brute-force subpath search ------------------------
+
+
+def assert_tip_ideal_is_brute_force(pres):
+    gd = build_groebner(pres)
+    ideal = gd.tip_ideal
+    paths = pres.quiver.all_paths()
+    in_ideal = {p: any(occurs(p, t) for t in gd.tips) for p in paths}
+    for p in paths:
+        assert (p in ideal) == in_ideal[p], p
+    for prev in paths:
+        if prev.is_trivial or in_ideal[prev]:
+            continue
+        heads = [
+            v for v in paths
+            if not v.is_trivial and v.source == prev.target and in_ideal[compose(prev, v)]
+        ]
+        assert ideal.cut(prev) is min(heads, key=len, default=None), prev
+
+
+@pytest.mark.parametrize(
+    "pres",
+    [
+        three_branch_presentation(),
+        overlap_monomial_presentation(),
+        single_chain_presentation([["d1", "d2", "d3"], ["d2", "d3", "d4"]]),
+        single_chain_presentation([["d1", "d2", "d3"], ["d3", "d4"]]),
+        lines_presentation(1, 8, 3),
+        lines_presentation(3, 6, 3),
+    ],
+    ids=["three-branch", "overlap", "cubic-overlap", "gapped", "line-8-3", "3xline-6-3"],
+)
+def test_tip_ideal_matches_brute_force_on_fixtures(pres):
+    assert_tip_ideal_is_brute_force(pres)
+
+
+@given(st.integers(0, 10**4))
+@settings(max_examples=25, deadline=None)
+def test_tip_ideal_matches_brute_force_on_random_draws(seed):
+    assert_tip_ideal_is_brute_force(random_presentation(seed))
+
+
+@given(monomial_presentations())
+@settings(max_examples=40, deadline=None)
+def test_tip_ideal_matches_brute_force_on_overlapping_monomials(pres):
+    assert_tip_ideal_is_brute_force(pres)
+    # the reduced monomial tips: the relations that contain no other relation
+    rels = {p for rel in pres.relations for p in rel.terms}
+    minimal = sorted(
+        (p for p in rels if not any(q is not p and occurs(p, q) for q in rels)), key=Path.sort_key
+    )
+    assert list(build_groebner(pres).mono_tips) == minimal
