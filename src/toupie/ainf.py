@@ -63,14 +63,7 @@ class TorCoalgebra:
         self._layers: dict = {}
 
     def all_chains(self) -> list:
-        out = []
-        d = 0
-        while True:
-            layer = self.cg.chains(d)
-            if not layer:
-                return out
-            out.extend(layer)
-            d += 1
+        return [c for d in range(self.cg.max_chain_degree() + 1) for c in self.cg.chains(d)]
 
     def coproduct_layer(self, n: int) -> dict:
         """{chain: Delta_n(chain)} by `closed_delta`, zero values dropped; built once per arity."""
@@ -153,10 +146,8 @@ class TorCoalgebra:
         path = underlying_path(chain)
         support = self.gd.tip_inverse(path) if r == 1 else FormalSum.lift(path)
         for q, cq in support.terms.items():
-            for blocks in self.cg.decompositions((q,), n):
+            for blocks in self.cg.decompositions((q,), n, r - 1):
                 degs = [len(b) - 1 for b in blocks]
-                if sum(degs) != r - 1:
-                    continue
                 n_exp = degs[0] + sum((n - 1 - j) * degs[j] for j in range(n - 1))
                 out.add_term(blocks, cq * (-1) ** n_exp)
         return out
@@ -288,13 +279,14 @@ def coalgebra_table(tor: TorCoalgebra, n_max: int) -> dict:
 def algebra_table(ext: ExtAlgebra, n_max: int) -> dict:
     """arity -> {dual tuple: m_n value} with zero values dropped (arity 1 is empty).
 
-    Rows follow `composable_tuples` order; `m` runs only on the tuples with a
-    nonzero product, which are the keys of the transposed layer.
+    Rows are the keys of the transposed layer, ordered by the positions of their
+    chains in `all_chains`: the nested order of `composable_tuples`.
     """
+    index = {c: i for i, c in enumerate(ext.tor.all_chains())}
     table: dict = {1: {}}
     for n in range(2, n_max + 1):
-        layer = ext.layer(n)
-        table[n] = {t: ext.m(t) for t in ext.composable_tuples(n) if t in layer}
+        rows = sorted(ext.layer(n), key=lambda t: [index[c] for c in t])
+        table[n] = {t: ext.m(t) for t in rows}
     return table
 
 

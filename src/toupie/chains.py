@@ -5,13 +5,14 @@ arrow and every product w_i w_{i+1} lands in the tip ideal while no proper
 prefix of it does.  Each nontrivial path lies in one branch, so a letter w_i
 has exactly one candidate successor: its cut, the shortest path v after w_i
 with w_i v in the tip ideal (`TipIdeal.cut`).  w_{i+1} must be that cut and a
-nontip.  Chains are the critical cells of the bar resolution and index its
-minimal model; each chain is determined by its underlying path, and parsing a
-path back into its chain word follows the cuts from its first arrow.
+nontip.  So every chain is a prefix of its first arrow's *run*, the word that
+starts at the arrow and appends cuts while they exist and are nontips.  Chains
+are the critical cells of the bar resolution and index its minimal model; each
+chain is determined by its underlying path, and parsing a path back into its
+chain word is one lookup of its length among the run prefixes of its first
+arrow.
 """
 from __future__ import annotations
-
-from itertools import combinations
 
 from .presentation import Path, compose
 from .rewriting import GroebnerData
@@ -27,11 +28,30 @@ def underlying_path(word) -> Path:
 
 
 class ChainGraph:
-    """Checks, parses and enumerates chain words over the tips of `gd`."""
+    """Checks, parses and enumerates chain words over the tips of `gd`.
+
+    Holds one run per arrow (`runs`) and, per arrow, a map from the path
+    length of each run prefix to its letter count (`prefix_letters`); every
+    chain question is answered from these two tables.
+    """
 
     def __init__(self, gd: GroebnerData):
         self.gd = gd
-        self._parse_cache: dict = {}
+        ideal = gd.tip_ideal
+        self.runs: dict = {}
+        self.prefix_letters: dict = {}
+        for a in gd.quiver.arrows:
+            # every tip has length >= 2, so every arrow is a nontip
+            run = [Path(a.src, (a,))]
+            letters = {1: 1}
+            size = 1
+            while (v := ideal.cut(run[-1])) is not None and v not in ideal:
+                run.append(v)
+                size += len(v)
+                letters[size] = len(run)
+            self.runs[a] = tuple(run)
+            self.prefix_letters[a] = letters
+        self._chains: dict = {}
 
     # -- words ---------------------------------------------------------------
 
@@ -39,12 +59,9 @@ class ChainGraph:
         """Largest k such that the first k letters form a chain (0 if none)."""
         if not word or len(word[0]) != 1:
             return 0
-        ideal = self.gd.tip_ideal
+        run = self.runs[word[0].arrows[0]]
         k = 1
-        while k < len(word):
-            x = word[k]
-            if x is not ideal.cut(word[k - 1]) or x in ideal:
-                break
+        while k < len(word) and k < len(run) and word[k] is run[k]:
             k += 1
         return k
 
@@ -52,74 +69,54 @@ class ChainGraph:
         return len(word) > 0 and self.prefix_chain_length(word) == len(word)
 
     def parse(self, path: Path):
-        """The chain word with underlying path `path`, or None.
-
-        The first letter is the first arrow, each next letter the cut of the
-        one before; the path parses when the cuts tile it and are nontips.
-        """
-        got = self._parse_cache.get(path, False)
-        if got is not False:
-            return got
-        word = self._parse(path)
-        self._parse_cache[path] = word
-        return word
-
-    def _parse(self, path: Path):
+        """The chain word with underlying path `path`, or None."""
         if len(path) == 0:
             return None
-        ideal = self.gd.tip_ideal
-        letters = [path.slice(0, 1)]
-        i = 1
-        while i < len(path):
-            v = ideal.cut(letters[-1])
-            if v is None or i + len(v) > len(path) or v in ideal:
-                return None
-            letters.append(v)  # the cut starts where the path goes on
-            i += len(v)
-        return tuple(letters)
+        a = path.arrows[0]
+        k = self.prefix_letters[a].get(len(path))
+        return None if k is None else self.runs[a][:k]
 
     def chains(self, degree: int):
         """All chains of the given degree (a d-chain has d+1 letters), d >= 0."""
-        got = getattr(self, "_chains", None)
+        got = self._chains.get(degree)
         if got is None:
-            got = self._chains = {}
-        ideal = self.gd.tip_ideal
-        while degree >= len(got):
-            d = len(got)
-            if d == 0:
-                # every tip has length >= 2, so every arrow is a nontip
-                layer = [(Path(a.src, (a,)),) for a in self.gd.quiver.arrows]
-            else:
-                layer = []
-                for word in got[d - 1]:
-                    v = ideal.cut(word[-1])
-                    if v is not None and v not in ideal:
-                        layer.append(word + (v,))
-            got[d] = sorted(layer, key=lambda w: underlying_path(w).sort_key())
-        return got[degree]
+            layer = [run[: degree + 1] for run in self.runs.values() if len(run) > degree]
+            got = self._chains[degree] = sorted(layer, key=lambda w: underlying_path(w).sort_key())
+        return got
 
     def max_chain_degree(self) -> int:
-        d = 0
-        while self.chains(d):
-            d += 1
-        return d - 1
+        return max(map(len, self.runs.values()), default=0) - 1
 
-    def decompositions(self, word, n: int):
-        """All ways to cut the underlying path into n consecutive chains.
+    def decompositions(self, word, n: int, degree: int):
+        """All ways to cut the underlying path into n consecutive chains of
+        total degree `degree`, in increasing order of the cut positions.
 
         Returns tuples of chain words.  Cuts run over the path, not the letter
         boundaries: a block may end mid-letter as long as it parses.
         """
         path = underlying_path(word)
-        out = []
-        for cuts in combinations(range(1, len(path)), n - 1):
-            bounds = (0,) + cuts + (len(path),)
-            blocks = []
-            for a, b in zip(bounds, bounds[1:]):
-                blk = self.parse(path.slice(a, b))
-                if blk is None:
-                    break
-                blocks.append(blk)
-            else:
-                out.append(tuple(blocks))
-        return out
+        arrows, size = path.arrows, len(path)
+        memo: dict = {}
+
+        def tails(x, left, deg):
+            # the cuts of path[x:] into `left` chains of total degree `deg`
+            key = (x, left, deg)
+            got = memo.get(key)
+            if got is None:
+                got = memo[key] = []
+                a = arrows[x]
+                run = self.runs[a]
+                # the blocks starting at x are the run prefixes that fit
+                for length, k in self.prefix_letters[a].items():
+                    end = x + length
+                    if k - 1 > deg or end > size:
+                        break
+                    if left == 1:
+                        if end == size and k - 1 == deg:
+                            got.append((run[:k],))
+                    elif end < size:
+                        head = run[:k]
+                        got.extend((head,) + t for t in tails(end, left - 1, deg - k + 1))
+            return got
+
+        return tails(0, n, degree)

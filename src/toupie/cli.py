@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import functools
 import hashlib
 import json
 import os
@@ -107,90 +108,89 @@ class JobSpec:
 # input parsing
 
 
-def _expect(cond, where: str, msg: str):
+def _expect(cond, fmt: str, *args):
+    # formats the message only on failure, so valid input builds no error strings
     if not cond:
-        raise InputError(f"{where}: {msg}")
+        raise InputError(fmt.format(*args))
 
 
 def parse_presentation(data, where: str = "input") -> Presentation:
     """Build a Presentation from decoded JSON, annotating errors with the
     path of the offending element (e.g. ``file.json.relations[1][0].coeff``)."""
-    _expect(isinstance(data, dict), where, "expected a JSON object")
+    _expect(isinstance(data, dict), "{}: expected a JSON object", where)
     extra = sorted(set(data) - {"vertices", "arrows", "relations", "order"})
-    _expect(not extra, where, f"unknown keys {extra}")
+    _expect(not extra, "{}: unknown keys {}", where, extra)
     for key in ("vertices", "arrows", "relations"):
-        _expect(key in data, where, f"missing key {key!r}")
+        _expect(key in data, "{}: missing key {!r}", where, key)
 
     verts = data["vertices"]
-    _expect(isinstance(verts, list) and verts, f"{where}.vertices", "expected a nonempty list")
+    _expect(isinstance(verts, list) and verts, "{}.vertices: expected a nonempty list", where)
     for i, v in enumerate(verts):
-        _expect(isinstance(v, str), f"{where}.vertices[{i}]", "expected a string")
+        _expect(isinstance(v, str), "{}.vertices[{}]: expected a string", where, i)
     vert_set = set(verts)
-    _expect(len(vert_set) == len(verts), f"{where}.vertices", "duplicate vertex names")
+    _expect(len(vert_set) == len(verts), "{}.vertices: duplicate vertex names", where)
 
     raw_arrows = data["arrows"]
-    _expect(isinstance(raw_arrows, list), f"{where}.arrows", "expected a list")
+    _expect(isinstance(raw_arrows, list), "{}.arrows: expected a list", where)
     arrows = []
     seen = set()
     for i, item in enumerate(raw_arrows):
         loc = f"{where}.arrows[{i}]"
-        _expect(isinstance(item, dict), loc, "expected an object")
+        _expect(isinstance(item, dict), "{}: expected an object", loc)
         extra = sorted(set(item) - {"name", "src", "dst"})
-        _expect(not extra, loc, f"unknown keys {extra}")
+        _expect(not extra, "{}: unknown keys {}", loc, extra)
         for key in ("name", "src", "dst"):
-            _expect(key in item, loc, f"missing key {key!r}")
-            _expect(isinstance(item[key], str), f"{loc}.{key}", "expected a string")
+            _expect(key in item, "{}: missing key {!r}", loc, key)
+            _expect(isinstance(item[key], str), "{}.{}: expected a string", loc, key)
         for key in ("src", "dst"):
-            _expect(item[key] in vert_set, f"{loc}.{key}", f"unknown vertex {item[key]!r}")
-        _expect(item["name"] not in seen, f"{loc}.name", f"duplicate arrow name {item['name']!r}")
+            _expect(item[key] in vert_set, "{}.{}: unknown vertex {!r}", loc, key, item[key])
+        _expect(item["name"] not in seen, "{}.name: duplicate arrow name {!r}", loc, item["name"])
         seen.add(item["name"])
         arrows.append((item["name"], item["src"], item["dst"]))
     quiver = Quiver(tuple(verts), tuple(arrows))
 
     raw_rels = data["relations"]
-    _expect(isinstance(raw_rels, list), f"{where}.relations", "expected a list")
+    _expect(isinstance(raw_rels, list), "{}.relations: expected a list", where)
     relations = []
     for i, terms in enumerate(raw_rels):
         loc = f"{where}.relations[{i}]"
-        _expect(isinstance(terms, list) and terms, loc, "expected a nonempty list of terms")
+        _expect(isinstance(terms, list) and terms, "{}: expected a nonempty list of terms", loc)
         rel = FormalSum()
         for j, term in enumerate(terms):
-            tloc = f"{loc}[{j}]"
-            _expect(isinstance(term, dict), tloc, "expected an object")
+            _expect(isinstance(term, dict), "{}[{}]: expected an object", loc, j)
             extra = sorted(set(term) - {"coeff", "path"})
-            _expect(not extra, tloc, f"unknown keys {extra}")
+            _expect(not extra, "{}[{}]: unknown keys {}", loc, j, extra)
             for key in ("coeff", "path"):
-                _expect(key in term, tloc, f"missing key {key!r}")
+                _expect(key in term, "{}[{}]: missing key {!r}", loc, j, key)
             coeff = term["coeff"]
             _expect(
                 isinstance(coeff, str) and _RATIONAL.match(coeff),
-                f"{tloc}.coeff",
-                'expected an exact rational written "n" or "n/d"',
+                '{}[{}].coeff: expected an exact rational written "n" or "n/d"', loc, j,
             )
             names = term["path"]
             _expect(
                 isinstance(names, list) and names,
-                f"{tloc}.path",
-                "expected a nonempty list of arrow names",
+                "{}[{}].path: expected a nonempty list of arrow names", loc, j,
             )
             for k, nm in enumerate(names):
-                _expect(isinstance(nm, str), f"{tloc}.path[{k}]", "expected a string")
-                _expect(nm in quiver.arrow_by_name, f"{tloc}.path[{k}]", f"unknown arrow {nm!r}")
+                _expect(isinstance(nm, str), "{}[{}].path[{}]: expected a string", loc, j, k)
+                _expect(
+                    nm in quiver.arrow_by_name, "{}[{}].path[{}]: unknown arrow {!r}", loc, j, k, nm
+                )
             try:
                 path = quiver.path(*names)
             except ValueError as err:
-                raise InputError(f"{tloc}.path: {err}") from err
+                raise InputError(f"{loc}[{j}].path: {err}") from err
             rel.add_term(path, Fraction(coeff))
-        _expect(not rel.is_zero, loc, "terms cancel to zero")
+        _expect(not rel.is_zero, "{}: terms cancel to zero", loc)
         relations.append(rel)
 
     order = data.get("order", [])
-    _expect(isinstance(order, list), f"{where}.order", "expected a list")
+    _expect(isinstance(order, list), "{}.order: expected a list", where)
     for i, nm in enumerate(order):
         _expect(
             isinstance(nm, str) and nm in quiver.arrow_by_name,
-            f"{where}.order[{i}]",
-            f"unknown arrow {nm!r}",
+            "{}.order[{}]: unknown arrow {!r}", where, i, nm,
         )
     return Presentation(quiver, tuple(relations), order=tuple(order))
 
@@ -479,7 +479,7 @@ def cmd_oracle_diff(job: JobSpec, pres: Presentation):
                             "transfer": _tensor_terms(transfer),
                         }
                     )
-        sdr_bad = BarSDR(g).verify(job.degree)
+        sdr_bad = tor.sdr.verify(job.degree)
         clean = clean and not mismatches and not sdr_bad
         result[label] = {
             "chains_checked": len(chains),
@@ -589,7 +589,10 @@ def make_job(args: argparse.Namespace) -> JobSpec:
         raise InputError(str(err)) from err
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first `main` call and reused by every later one (one per job
+    # in a batch); the TOUPIE_* environment values are still read per call
     parser = argparse.ArgumentParser(
         prog="toupie",
         description="Exact homological computations for single-source, single-sink quiver presentations.",
@@ -616,7 +619,11 @@ def main(argv=None) -> int:
         "--seed", type=int, default=None,
         help="also exercise the generated presentation for this seed where supported (env TOUPIE_SEED)",
     )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return _run(make_job(args))
     except InputError as err:

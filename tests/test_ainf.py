@@ -1,8 +1,15 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
 
-from tests.conftest import single_chain_presentation
+from tests.conftest import (
+    lines_presentation,
+    monomial_presentations,
+    overlap_monomial_presentation,
+    single_chain_presentation,
+    three_branch_presentation,
+)
 from toupie.ainf import (
     ExtAlgebra,
     TorCoalgebra,
@@ -14,6 +21,7 @@ from toupie.ainf import (
 )
 from toupie.chains import underlying_path
 from toupie.presentation import FormalSum
+from toupie.random_presentations import random_presentation
 from toupie.rewriting import build_groebner
 
 
@@ -211,6 +219,40 @@ def test_corrupted_tables_leave_products_intact(overlap_monomial):
     for n in (2, 3):
         for tup in ext.composable_tuples(n):
             assert ext.m(tup) == ext.closed_m(tup), (n, tup)
+
+
+def assert_product_rows_in_composable_order(pres):
+    ext = ExtAlgebra(TorCoalgebra(build_groebner(pres)))
+    table = algebra_table(ext, 5)
+    for n in range(2, 6):
+        layer = ext.layer(n)
+        assert list(table[n]) == [t for t in ext.composable_tuples(n) if t in layer], n
+
+
+@pytest.mark.parametrize(
+    "pres",
+    [
+        three_branch_presentation(),
+        overlap_monomial_presentation(),
+        single_chain_presentation([["d1", "d2"], ["d2", "d3"], ["d3", "d4"]]),
+        lines_presentation(1, 6, 2),
+        lines_presentation(2, 6, 3),
+    ],
+    ids=["three-branch", "overlap", "quadratic-line", "line-6-2", "2xline-6-3"],
+)
+def test_product_rows_follow_composable_order(pres):
+    assert_product_rows_in_composable_order(pres)
+
+
+def test_product_rows_follow_composable_order_on_random_draws():
+    for seed in range(30):
+        assert_product_rows_in_composable_order(random_presentation(seed))
+
+
+@given(monomial_presentations())
+@settings(max_examples=30, deadline=None)
+def test_product_rows_follow_composable_order_on_overlapping_monomials(pres):
+    assert_product_rows_in_composable_order(pres)
 
 
 def test_products_associative_monomial(overlap_monomial):

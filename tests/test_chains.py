@@ -1,7 +1,7 @@
 """Chain words, their graph, parses and decompositions."""
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +14,9 @@ from tests.conftest import (
     lines_presentation,
     monomial_presentations,
     occurs,
+    overlap_monomial_presentation,
     single_chain_presentation,
+    three_branch_presentation,
 )
 
 
@@ -104,13 +106,13 @@ def test_parse_rejects_non_chain_paths(cg3):
 def test_decompositions_none_for_long_tip_chain(cg3):
     q = cg3.gd.quiver
     u = (q.path("a1"), q.path("a2", "a3"))
-    assert cg3.decompositions(u, 2) == []
+    assert cg3.decompositions(u, 2, 0) == []
 
 
 def test_decompositions_overlap(cgm):
     q = cgm.gd.quiver
     w = (q.path("d1"), q.path("d2"), q.path("d3"))
-    got = cgm.decompositions(w, 2)
+    got = cgm.decompositions(w, 2, 1)
     assert sorted(tuple(names(b) for b in d) for d in got) == [
         (((("d1",),)), ((("d2",), ("d3",)))),
         (((("d1",), ("d2",))), ((("d3",),))),
@@ -122,7 +124,7 @@ def test_decomposition_can_cross_letter_boundaries():
     cg = ChainGraph(build_groebner(pres))
     q = pres.quiver
     w = (q.path("d1"), q.path("d2", "d3"), q.path("d4"))
-    got = cg.decompositions(w, 2)
+    got = cg.decompositions(w, 2, 1)
     # the cut (d1, d2 d3 d4) does not respect the letter boundary of w
     assert sorted(tuple(names(b) for b in d) for d in got) == [
         ((("d1",),), (("d2",), ("d3", "d4"))),
@@ -223,3 +225,73 @@ def test_chain_counts_scale_with_branch_copies():
     assert one == [8, 6, 5, 3, 2, 0]
     for copies in (2, 3):
         assert counts(copies) == [copies * n for n in one]
+
+
+# -- decompositions against the cut-subset enumeration ------------------------
+
+
+def cut_walk_parse(gd, path):
+    """The chain word of `path`: its first arrow, then cuts while they fit and are nontips."""
+    ideal = gd.tip_ideal
+    letters = [path.slice(0, 1)]
+    i = 1
+    while i < len(path):
+        v = ideal.cut(letters[-1])
+        if v is None or i + len(v) > len(path) or v in ideal:
+            return None
+        letters.append(v)
+        i += len(v)
+    return tuple(letters)
+
+
+def cut_subset_decompositions(gd, path, n):
+    """Every (n-1)-subset of inner cut points whose blocks all parse, in subset order."""
+    out = []
+    for cuts in combinations(range(1, len(path)), n - 1):
+        bounds = (0,) + cuts + (len(path),)
+        blocks = tuple(cut_walk_parse(gd, path.slice(a, b)) for a, b in zip(bounds, bounds[1:]))
+        if None not in blocks:
+            out.append(blocks)
+    return out
+
+
+def assert_decompositions_are_cut_subsets(pres):
+    cg = ChainGraph(build_groebner(pres))
+    gd = cg.gd
+    # (word, degree r) for every chain, and for every support path of every 1-chain
+    words = [(w, d) for d in range(cg.max_chain_degree() + 1) for w in cg.chains(d)]
+    words += [((q,), 1) for c in cg.chains(1) for q in gd.tip_inverse(underlying_path(c)).terms]
+    for word, r in words:
+        for n in range(2, 6):
+            every = cut_subset_decompositions(gd, underlying_path(word), n)
+            for degree in range(r + 1):
+                want = [bs for bs in every if sum(len(b) - 1 for b in bs) == degree]
+                assert cg.decompositions(word, n, degree) == want, (word, n, degree)
+
+
+@pytest.mark.parametrize(
+    "pres",
+    [
+        three_branch_presentation(),
+        overlap_monomial_presentation(),
+        single_chain_presentation([["d1", "d2", "d3"], ["d2", "d3", "d4"]]),
+        single_chain_presentation([["d1", "d2", "d3"], ["d3", "d4"]]),
+        lines_presentation(1, 6, 2),
+        lines_presentation(1, 8, 3),
+        lines_presentation(3, 6, 3),
+    ],
+    ids=["three-branch", "overlap", "cubic-overlap", "gapped", "line-6-2", "line-8-3", "3xline-6-3"],
+)
+def test_decompositions_match_cut_subsets_on_fixtures(pres):
+    assert_decompositions_are_cut_subsets(pres)
+
+
+def test_decompositions_match_cut_subsets_on_random_draws():
+    for seed in range(30):
+        assert_decompositions_are_cut_subsets(random_presentation(seed))
+
+
+@given(monomial_presentations())
+@settings(max_examples=30, deadline=None)
+def test_decompositions_match_cut_subsets_on_overlapping_monomials(pres):
+    assert_decompositions_are_cut_subsets(pres)

@@ -1,3 +1,4 @@
+import argparse
 import gc
 import json
 import random
@@ -352,6 +353,24 @@ def test_one_shape_check_per_job(capsys, monkeypatch, e1_path):
         code, _, _ = run_cli(capsys, command, e1_path)
         assert code == 0, command
         assert len(calls) == 1, (command, len(calls))
+
+
+def test_repeated_main_builds_no_argument_parser(capsys, monkeypatch, e1_path):
+    run_cli(capsys, "validate", e1_path)  # the first call may build the parser
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for command in ("validate", "tips", "validate"):
+        code, _, _ = run_cli(capsys, command, e1_path)
+        assert code == 0, command
+    code, _, _ = run_cli(capsys, "validate", "/nonexistent/input.json")
+    assert code == 2
+    assert built == []
 
 
 def test_one_reduction_per_presentation(capsys, monkeypatch, e1_path):

@@ -105,6 +105,19 @@ def test_closed_h_rejects_unattached(three_branch):
     q = gd.quiver
     with pytest.raises(ValueError, match="not attached"):
         sdr.sdr_h((q.path("a1"), q.path("a2")))
+    with pytest.raises(ValueError, match="not attached"):
+        sdr.sdr_p((q.path("a1"), q.path("a2")))
+
+
+def test_verify_catches_corrupted_closed_p(three_branch):
+    gd = build_groebner(three_branch)
+    sdr = BarSDR(gd)
+    q = gd.quiver
+    split = (q.path("a1", "a2"), q.path("a3"))
+    assert sdr.is_attached(split) and not sdr.cg.is_chain(split)
+    sdr_p = sdr.sdr_p
+    sdr.sdr_p = lambda w: sdr_p(w).scale(-1) if w == split else sdr_p(w)
+    assert sdr.verify() == [f"closed p != oracle p at {split!r}"]
 
 
 def test_formal_words_with_tip_letters():
