@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
 """Randomized sweep: generate seeded presentations and cross-check every
-oracle pair we have (closed vs transfer coproducts, coherence suites,
-dimension vs graded dimension, double dual vs gr where the construction
-applies).  Prints one line per seed and a totals row; exits nonzero on any
-mismatch."""
+oracle pair we have (closed vs transfer coproducts, the retract's closed
+forms vs its zigzag oracle on the full and on each truncated bar complex,
+coherence suites, dimension vs graded dimension, double dual vs gr where the
+construction applies).  Prints one line per seed and a totals row; exits
+nonzero on any mismatch."""
 
 import argparse
 import sys
 
 from toupie import (
+    BarSDR,
     ExtAlgebra,
     TorCoalgebra,
     algebra_table,
@@ -33,6 +35,12 @@ def check_seed(seed: int, arity: int) -> list:
         for n in range(2, arity + 1):
             if tor.closed_delta(n, chain) != tor.transfer_delta(n, chain):
                 problems.append(f"delta_{n} mismatch at {chain}")
+    if tor.sdr.verify():
+        problems.append("retract violation on the full bar complex")
+    top = max(tor.sdr.complex.cells_by_degree)
+    for d in range(1, top):
+        if BarSDR(gd, d + 1).verify(d):
+            problems.append(f"retract violation at degree <= {d} on the complex cut at {d + 1}")
     ext = ExtAlgebra(tor)
     ctab = coalgebra_table(tor, arity)
     atab = algebra_table(ext, arity)

@@ -51,12 +51,14 @@ class TorCoalgebra:
 
     Output keys are n-tuples of chain words.  `transfer_delta` is the zigzag
     evaluation; `closed_delta` the direct cut formula.  The two agree on every
-    chain (see the test suite), which is the point of having both.
+    chain (see the test suite), which is the point of having both.  `top`
+    truncates the bar complex (see `BarSDR`); the transfer of a chain word
+    of degree d needs `top` > d.
     """
 
-    def __init__(self, gd: GroebnerData):
+    def __init__(self, gd: GroebnerData, top: int | None = None):
         self.gd = gd
-        self.sdr = BarSDR(gd)
+        self.sdr = BarSDR(gd, top)
         self.cg: ChainGraph = self.sdr.cg
         self._bar_memo: dict = {}
         self._transfer_memo: dict = {}
@@ -112,13 +114,17 @@ class TorCoalgebra:
         got = self._transfer_memo.get(key)
         if got is not None:
             return got
+        top = self.sdr.top
+        if top is not None and len(chain) >= top:
+            # i, h and p on a word of degree d read cells of degree d + 1
+            raise ValueError(f"chain of degree {len(chain)} needs cells past the top degree {top}")
         out = FormalSum()
         if n >= 2:
             cx = self.sdr.complex
             for w, c in cx.i(chain).terms.items():
                 for tw, tc in self._delta_bar(n, w).terms.items():
                     # the projection has degree 0: expand slotwise, no signs
-                    for combo in product(*(cx.p(x).items() for x in tw)):
+                    for combo in product(*(cx.p(x).terms.items() for x in tw)):
                         coeff = c * tc
                         for _, pc in combo:
                             coeff *= pc

@@ -25,15 +25,22 @@ def _word_key(word):
     return (len(names), word[0].source, names), tuple(len(p) for p in word)
 
 
-def bar_words(gd: GroebnerData) -> dict[int, list]:
-    """All stacked-word cells by degree; degree 0 holds the vertices as trivial paths."""
-    letters = [p for ps in gd.nontips_by_degree.values() for p in ps if not p.is_trivial]
+def bar_words(gd: GroebnerData, top: int | None = None) -> dict[int, list]:
+    """Stacked-word cells by degree, up to degree `top` >= 1 (all of them when
+    None); degree 0 holds the vertices as trivial paths."""
+    starting_at: dict = {}
+    for ps in gd.nontips_by_degree.values():
+        for p in ps:
+            if not p.is_trivial:
+                starting_at.setdefault(p.source, []).append(p)
     by_deg: dict[int, list] = {0: [Path(v, ()) for v in gd.quiver.vertices]}
-    layer = [(p,) for p in letters]
+    layer = [(p,) for ps in starting_at.values() for p in ps]
     d = 1
     while layer:
         by_deg[d] = sorted(layer, key=_word_key)
-        layer = [w + (p,) for w in layer for p in letters if w[-1].target == p.source]
+        if d == top:
+            break
+        layer = [w + (p,) for w in layer for p in starting_at.get(w[-1].target, ())]
         d += 1
     return by_deg
 
@@ -77,9 +84,16 @@ def classify_word(cg: ChainGraph, word):
 
 
 def build_matching(cg: ChainGraph, cells_by_degree) -> dict:
+    """{lower word: split partner} over every degree but 0 and the highest one.
+
+    A word of the highest degree built has its split partner one degree up,
+    past the cells: on a truncated complex it stays unmatched (and looks
+    critical), on a full one no such word is lower anyway.
+    """
     matching = {}
+    top = max(cells_by_degree)
     for d, cells in cells_by_degree.items():
-        if d == 0:
+        if d == 0 or d == top:
             continue
         for w in cells:
             st, partner = classify_word(cg, w)
@@ -89,10 +103,17 @@ def build_matching(cg: ChainGraph, cells_by_degree) -> dict:
 
 
 class BarSDR:
-    """Closed transfer maps on the reduced bar complex, checked against the zigzag oracle."""
+    """Closed transfer maps on the reduced bar complex, checked against the zigzag oracle.
 
-    def __init__(self, gd: GroebnerData):
+    With `top`, the complex stops at degree `top`.  The matching is local, so
+    p, i and h on cells of degree d only read degrees d and d + 1: below
+    `top` they equal the full complex's; at `top` the lower words have no
+    partner and look critical, so there they do not.
+    """
+
+    def __init__(self, gd: GroebnerData, top: int | None = None):
         self.gd = gd
+        self.top = top
         self.cg = ChainGraph(gd)
         self._cx: BasedComplex | None = None
 
@@ -101,7 +122,7 @@ class BarSDR:
         if self._cx is None:
             # the differential closes over gd, not self: no BarSDR <-> complex cycle,
             # so a finished job frees its bar complex without the cyclic collector
-            gd, cells = self.gd, bar_words(self.gd)
+            gd, cells = self.gd, bar_words(self.gd, self.top)
             self._cx = BasedComplex(
                 cells,
                 lambda w: bar_differential(gd, w),
@@ -183,9 +204,15 @@ class BarSDR:
     # -- verification ------------------------------------------------------------
 
     def verify(self, max_degree: int | None = None) -> list[str]:
-        """Oracle identities plus closed-vs-oracle agreement; returns violations."""
+        """Oracle identities plus closed-vs-oracle agreement on cells of degree
+        <= `max_degree` (all when None); returns violations.
+
+        Raises ValueError when the check would read the truncated top degree.
+        """
+        if self.top is not None and (max_degree is None or max_degree >= self.top):
+            raise ValueError(f"degree {max_degree} check needs cells past the top degree {self.top}")
         cx = self.complex
-        bad = verify_sdr(cx)
+        bad = verify_sdr(cx, max_degree)
         for d in sorted(cx.cells_by_degree):
             if d == 0 or (max_degree is not None and d > max_degree):
                 continue

@@ -142,10 +142,12 @@ class BasedComplex:
         return self.diff(cell).map_terms(self.p)
 
 
-def verify_sdr(cx: BasedComplex) -> list[str]:
-    """Check the transfer identities on every cell; return human-readable violations."""
+def verify_sdr(cx: BasedComplex, max_degree: int | None = None) -> list[str]:
+    """Check the transfer identities on every cell of degree <= `max_degree`
+    (all when None); return human-readable violations."""
     bad = []
-    cells = [c for d in sorted(cx.cells_by_degree) for c in cx.cells_by_degree[d]]
+    degrees = [d for d in sorted(cx.cells_by_degree) if max_degree is None or d <= max_degree]
+    cells = [c for d in degrees for c in cx.cells_by_degree[d]]
 
     for c in cells:
         if cx.diff(c).map_terms(cx.diff):
@@ -159,7 +161,7 @@ def verify_sdr(cx: BasedComplex) -> list[str]:
             bad.append(f"h∘h != 0 at {c!r}")
         if hc.map_terms(cx.p):
             bad.append(f"p∘h != 0 at {c!r}")
-    for d in sorted(cx.cells_by_degree):
+    for d in degrees:
         for c in cx.critical(d):
             if cx.i(c).map_terms(cx.p) != FormalSum.lift(c):
                 bad.append(f"p∘i != id at {c!r}")

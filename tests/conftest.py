@@ -81,6 +81,18 @@ def lines_presentation(copies: int, length: int, k: int) -> Presentation:
     return parallel_presentation([length] * copies, monos)
 
 
+def plain_beside_quadratic_presentation(length: int) -> Presentation:
+    """A relation-free branch p of `length` arrows beside two length-2
+    branches b, c tied by the one quadratic relation b1 b2 - 2 c1 c2."""
+    vertices = ["0", "w", *(f"p{j}" for j in range(1, length)), "b", "c"]
+    stops = ["0", *(f"p{j}" for j in range(1, length)), "w"]
+    arrows = [(f"p{j + 1}", s, t) for j, (s, t) in enumerate(zip(stops, stops[1:]))]
+    arrows += [("b1", "0", "b"), ("b2", "b", "w"), ("c1", "0", "c"), ("c2", "c", "w")]
+    q = Quiver(vertices, arrows)
+    rel = FormalSum({q.path("b1", "b2"): 1, q.path("c1", "c2"): -2})
+    return Presentation(q, (rel,), order=("b1", "c1"))
+
+
 @st.composite
 def monomial_presentations(draw):
     """Up to 4 parallel branches of length <= 7 with up to 8 (often overlapping) monomials."""

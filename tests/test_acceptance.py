@@ -111,7 +111,10 @@ def test_04_sdr_closed_forms_match_zigzag_oracle():
         # verify() replays the five identities (id - ip = dh + hd, pi = id,
         # hh = 0, hi = 0, ph = 0) and compares closed-form h, p, i against the
         # generic zigzag evaluator on every cell
-        assert BarSDR(build_groebner(pres)).verify(4) == []
+        sdr = BarSDR(build_groebner(pres))
+        assert sdr.verify(4) == []
+        # "every cell": verify(4) checks degree <= 4, and both complexes stop at 3
+        assert max(sdr.complex.cells_by_degree) <= 4
     assert time.perf_counter() - start < 10.0
 
 

@@ -53,6 +53,20 @@ def test_two_step_complex_identities():
     assert verify_sdr(cx) == []
 
 
+def test_degree_bound_reads_no_cell_past_the_next_degree():
+    # verify_sdr(cx, 2) reads differentials up to degree 3 only through h,
+    # and h vanishes on the critical z: w's differential is never asked for
+    def diff(c):
+        if c == "w":
+            raise LookupError("differential of a cell past the bound")
+        return span(x=1) if c == "y" else FormalSum()
+
+    cx = BasedComplex({0: ["x"], 1: ["y"], 2: ["z"], 3: ["w"]}, diff, {"x": "y"})
+    assert verify_sdr(cx, 1) == verify_sdr(cx, 2) == []
+    with pytest.raises(LookupError):
+        verify_sdr(cx)
+
+
 def test_mutually_feeding_pairs_detected_as_cycle():
     diffs = {"b1": span(a1=1, a2=1), "b2": span(a1=1, a2=1)}
     cx = BasedComplex(
