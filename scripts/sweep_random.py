@@ -51,7 +51,7 @@ def check_seed(seed: int, arity: int) -> list:
         problems.append("algebra coherence defect")
 
     graded = gr_algebra(pres)
-    if build_groebner(graded.presentation()).dim != gd.dim:
+    if build_groebner(graded).dim != gd.dim:
         problems.append("dim(gr) != dim")
     if hypotheses_check(gd):
         if not ideal_equal(double_dual(pres), graded):

@@ -27,7 +27,6 @@ from .ainf import (
     stasheff_coalgebra_defects,
 )
 from .duality import (
-    AlgebraPresentation,
     GammaGraph,
     HypothesesError,
     HypothesesReport,
@@ -78,7 +77,6 @@ __all__ = [
     "coalgebra_table",
     "stasheff_algebra_defects",
     "stasheff_coalgebra_defects",
-    "AlgebraPresentation",
     "GammaGraph",
     "HypothesesError",
     "HypothesesReport",

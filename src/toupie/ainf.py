@@ -24,11 +24,10 @@ from itertools import product
 
 from .chains import ChainGraph, underlying_path
 from .morse import BarSDR
-from .presentation import FormalSum, Path, compose
+from .presentation import FormalSum, compose
 from .rewriting import GroebnerData
 
 __all__ = [
-    "delta_prime",
     "TorCoalgebra",
     "ExtAlgebra",
     "coalgebra_table",
@@ -36,14 +35,6 @@ __all__ = [
     "stasheff_coalgebra_defects",
     "stasheff_algebra_defects",
 ]
-
-
-def delta_prime(word) -> FormalSum:
-    """Deconcatenation: the sum of all (prefix, suffix) splits of a stacked word."""
-    out = FormalSum()
-    for i in range(1, len(word)):
-        out.add_term((word[:i], word[i:]), 1)
-    return out
 
 
 class TorCoalgebra:

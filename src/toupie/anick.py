@@ -10,7 +10,7 @@ computed by the same projection recursion, now transporting the decorations.
 from __future__ import annotations
 
 from .chains import ChainGraph
-from .morse import classify_word
+from .morse import bar_differential, classify_word
 from .presentation import FormalSum, Path, compose
 from .rewriting import GroebnerData
 
@@ -45,13 +45,10 @@ class AnickResolution:
             src = word[0].source
             tgt = word[-1].target
             out.add_term((word[0], word[1:] if n > 1 else Path(tgt, ()), Path(tgt, ())), 1)
-            for j in range(n - 1):
-                merged = self.gd.normal_form(compose(word[j], word[j + 1]))
-                for q, c in merged.terms.items():
-                    out.add_term(
-                        (Path(src, ()), word[:j] + (q,) + word[j + 2 :], Path(tgt, ())),
-                        (-1) ** (j + 1) * c,
-                    )
+            # the inner merges are the bar differential's, each sign flipped:
+            # (-1)^(j+1) = -(-1)^j
+            for w, c in bar_differential(self.gd, word).terms.items():
+                out.add_term((Path(src, ()), w, Path(tgt, ())), -c)
             out.add_term(
                 (Path(src, ()), word[:-1] if n > 1 else Path(src, ()), word[-1]),
                 (-1) ** n,

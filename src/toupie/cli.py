@@ -57,23 +57,6 @@ from .presentation import FormalSum, Presentation, Quiver, branches_of
 from .random_presentations import random_presentation
 from .rewriting import build_groebner, classify_branches
 
-_COMMAND_NAMES = (
-    "validate",
-    "branches",
-    "tips",
-    "chains",
-    "betti",
-    "resolution-check",
-    "sdr-check",
-    "tor-coalgebra",
-    "ext-products",
-    "stasheff",
-    "yoneda",
-    "gr",
-    "double-dual",
-    "oracle-diff",
-)
-
 _RATIONAL = re.compile(r"^-?\d+(?:/[1-9]\d*)?$")
 
 
@@ -426,7 +409,7 @@ def cmd_yoneda(job: JobSpec, pres: Presentation):
     except HypothesesError as err:
         return "refused", _refusal_payload(gd, err, job)
     return "ok", {
-        "provenance": dual.provenance,
+        "provenance": "yoneda",
         "presentation": presentation_payload(dual),
     }
 
@@ -434,9 +417,9 @@ def cmd_yoneda(job: JobSpec, pres: Presentation):
 def cmd_gr(job: JobSpec, pres: Presentation):
     gd = build_groebner(pres)
     graded = gr_algebra(pres)
-    gdim = build_groebner(graded.presentation()).dim
+    gdim = build_groebner(graded).dim
     result = {
-        "provenance": graded.provenance,
+        "provenance": "gr",
         "presentation": presentation_payload(graded),
         "dimension": {"input": gd.dim, "gr": gdim},
     }
@@ -508,6 +491,7 @@ _HANDLERS = {
     "double-dual": cmd_double_dual,
     "oracle-diff": cmd_oracle_diff,
 }
+_COMMAND_NAMES = tuple(_HANDLERS)
 
 
 # ---------------------------------------------------------------------------

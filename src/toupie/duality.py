@@ -26,7 +26,6 @@ from .presentation import (
 from .rewriting import GroebnerData, build_groebner, rref
 
 __all__ = [
-    "AlgebraPresentation",
     "GammaGraph",
     "HypothesesError",
     "HypothesesReport",
@@ -39,29 +38,6 @@ __all__ = [
     "double_dual",
     "ideal_equal",
 ]
-
-PROVENANCE_TAGS = ("input", "yoneda", "gr", "double-dual")
-
-
-@dataclass(frozen=True)
-class AlgebraPresentation:
-    """A presented algebra kQ/I together with where it came from."""
-
-    quiver: Quiver
-    relations: tuple[FormalSum, ...]
-    provenance: str
-    order: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if self.provenance not in PROVENANCE_TAGS:
-            raise ValueError(f"unknown provenance {self.provenance!r}")
-        for rel in self.relations:
-            if any(len(p) < 2 for p in rel.terms):
-                raise ValueError(f"relation {rel!r} contains a path of length < 2")
-
-    def presentation(self) -> Presentation:
-        return Presentation(self.quiver, self.relations, order=self.order)
-
 
 @dataclass(frozen=True)
 class GammaGraph:
@@ -159,7 +135,7 @@ def hypotheses_check(g: GroebnerData) -> HypothesesReport:
     return HypothesesReport(not reasons, tuple(reasons))
 
 
-def gr_algebra(pres: Presentation) -> AlgebraPresentation:
+def gr_algebra(pres: Presentation) -> Presentation:
     """The associated graded presentation, from the special basis of the rows.
 
     Each special-basis relation (branch blocks ordered by descending length)
@@ -179,7 +155,7 @@ def gr_algebra(pres: Presentation) -> AlgebraPresentation:
         assert {len(b) for b in out.terms} == {min_len}, "graded replacement not homogeneous"
         rels_out.append(out)
     rels_out.extend(FormalSum.lift(t) for t in g.mono_tips)
-    return AlgebraPresentation(pres.quiver, tuple(rels_out), "gr", tuple(pres.order))
+    return Presentation(pres.quiver, tuple(rels_out), pres.order)
 
 
 def opposite_quiver(q: Quiver) -> Quiver:
@@ -215,9 +191,8 @@ def quadratic_blocks(ext: ExtAlgebra):
     q = ext.gd.quiver
     blocks: dict = {}
     for x in q.arrows:
-        for y in q.arrows:
-            if x.dst == y.src:
-                blocks.setdefault((x.src, y.dst), []).append((x, y))
+        for y in q.out[x.dst]:
+            blocks.setdefault((x.src, y.dst), []).append((x, y))
     out = []
     for endpoints in sorted(blocks):
         slots = sorted(blocks[endpoints], key=lambda xy: (xy[0].name, xy[1].name))
@@ -228,7 +203,7 @@ def quadratic_blocks(ext: ExtAlgebra):
     return out
 
 
-def yoneda_presentation(pres: Presentation) -> AlgebraPresentation:
+def yoneda_presentation(pres: Presentation) -> Presentation:
     """The dual algebra on the opposite quiver, with its quadratic relations.
 
     A composable arrow pair (x, y) corresponds to the reversed path y*.x* in
@@ -256,12 +231,12 @@ def yoneda_presentation(pres: Presentation) -> AlgebraPresentation:
             )
     key = pres.branch_order_key()
     order = tuple(b.arrows[-1].name + "*" for b in sorted(branches_of(pres.quiver), key=key))
-    return AlgebraPresentation(op, tuple(rels), "yoneda", order)
+    return Presentation(op, tuple(rels), order)
 
 
-def double_dual(pres: Presentation) -> AlgebraPresentation:
+def double_dual(pres: Presentation) -> Presentation:
     """Dual of the dual, renamed back onto the original quiver (a** -> a)."""
-    twice = yoneda_presentation(yoneda_presentation(pres).presentation())
+    twice = yoneda_presentation(yoneda_presentation(pres))
     q = pres.quiver
     rels = tuple(
         FormalSum(
@@ -269,7 +244,7 @@ def double_dual(pres: Presentation) -> AlgebraPresentation:
         )
         for rel in twice.relations
     )
-    return AlgebraPresentation(q, rels, "double-dual", tuple(n[:-2] for n in twice.order))
+    return Presentation(q, rels, tuple(n[:-2] for n in twice.order))
 
 
 def _ideal_rows(p) -> list:
@@ -308,11 +283,10 @@ def _ideal_rows(p) -> list:
     return reduced
 
 
-def ideal_equal(p1, p2) -> bool:
+def ideal_equal(p1: Presentation, p2: Presentation) -> bool:
     """Do two presentations of algebras on the same quiver cut the same ideal?
 
-    Accepts Presentation or AlgebraPresentation.  Raises when the quivers
-    differ (ideal comparison needs a shared path basis).
+    Raises when the quivers differ (ideal comparison needs a shared path basis).
     """
     q1, q2 = p1.quiver, p2.quiver
     if q1.vertices != q2.vertices or q1.arrows != q2.arrows:

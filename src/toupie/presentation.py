@@ -91,9 +91,6 @@ class Path:
     def is_trivial(self) -> bool:
         return not self.arrows
 
-    def __mul__(self, other: "Path") -> "Path":
-        return compose(self, other)
-
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.arrows)
@@ -224,10 +221,6 @@ class FormalSum:
         return " ".join(bits)
 
 
-# A LinComb is a FormalSum whose keys are Paths; it lives in the path algebra.
-LinComb = FormalSum
-
-
 def lincomb_mul(a: FormalSum, b: FormalSum) -> FormalSum:
     """Product in the path algebra: bilinear, non-composable pairs multiply to 0."""
     out = FormalSum()
@@ -251,14 +244,17 @@ class Quiver:
         names = [a.name for a in self.arrows]
         if len(set(names)) != len(names):
             raise ValueError("duplicate arrow names")
-        vs = set(self.vertices)
-        for a in self.arrows:
-            if a.src not in vs or a.dst not in vs:
-                raise ValueError(f"arrow {a} touches unknown vertex")
         self.arrow_by_name = {a.name: a for a in self.arrows}
-        self.out = {v: tuple(a for a in self.arrows if a.src == v) for v in self.vertices}
-        self.inn = {v: tuple(a for a in self.arrows if a.dst == v) for v in self.vertices}
-        self._branches: tuple[Path, ...] | None = None  # filled by branches_of
+        out: dict[str, list[Arrow]] = {v: [] for v in self.vertices}
+        inn: dict[str, list[Arrow]] = {v: [] for v in self.vertices}
+        for a in self.arrows:
+            if a.src not in out or a.dst not in out:
+                raise ValueError(f"arrow {a} touches unknown vertex")
+            out[a.src].append(a)
+            inn[a.dst].append(a)
+        self.out = {v: tuple(arrows) for v, arrows in out.items()}
+        self.inn = {v: tuple(arrows) for v, arrows in inn.items()}
+        self._branches: tuple[Path, ...] | None = None  # filled by validate_toupie
 
     def trivial(self, v: str) -> Path:
         if v not in self.out:
@@ -285,22 +281,6 @@ class Quiver:
                 raise ValueError("quiver has too many paths (is it acyclic?)")
         return out
 
-    def is_acyclic(self) -> bool:
-        seen, stack = set(), set()
-
-        def visit(v):
-            if v in stack:
-                return False
-            if v in seen:
-                return True
-            seen.add(v)
-            stack.add(v)
-            ok = all(visit(a.dst) for a in self.out[v])
-            stack.discard(v)
-            return ok
-
-        return all(visit(v) for v in self.vertices)
-
 
 def validate_toupie(q: Quiver):
     """Return (source, sink) if q is a toupie quiver, else raise ValueError.
@@ -308,6 +288,11 @@ def validate_toupie(q: Quiver):
     Required shape: exactly one vertex with no incoming arrows, exactly one
     with no outgoing arrows, all remaining vertices with in-degree and
     out-degree exactly 1, no directed cycles, at least one arrow.
+
+    After the degree checks the branches are walked from the source and
+    stored on `q` for `branches_of`.  The walk cannot loop: each step enters
+    an inner vertex through its one incoming arrow.  So an arrow the walk
+    misses lies on a directed cycle.
     """
     if not q.arrows:
         raise ValueError("toupie quiver needs at least one arrow")
@@ -327,27 +312,27 @@ def validate_toupie(q: Quiver):
             raise ValueError(
                 f"inner vertex {v!r} has degree ({len(q.inn[v])}, {len(q.out[v])}), expected (1, 1)"
             )
-    if not q.is_acyclic():
+    branches = []
+    for first in q.out[src]:
+        arrows = [first]
+        while arrows[-1].dst != snk:
+            arrows.append(q.out[arrows[-1].dst][0])
+        branches.append(Path(src, tuple(arrows)))
+    if sum(map(len, branches)) != len(q.arrows):
         raise ValueError("quiver has a directed cycle")
+    q._branches = tuple(branches)
     return src, snk
 
 
 def branches_of(q: Quiver) -> tuple[Path, ...]:
     """The branches (maximal source-to-sink paths), one per arrow out of the source.
 
-    The first call validates the toupie shape and stores the branches on `q`,
-    so the shape check runs once per quiver however often this is asked.
+    The first call validates the toupie shape, which walks the branches and
+    stores them on `q`, so the shape check runs once per quiver however often
+    this is asked.
     """
     if q._branches is None:
-        src, snk = validate_toupie(q)
-        out = []
-        for first in q.out[src]:
-            arrows = [first]
-            while arrows[-1].dst != snk:
-                (nxt,) = q.out[arrows[-1].dst]
-                arrows.append(nxt)
-            out.append(Path(src, tuple(arrows)))
-        q._branches = tuple(out)
+        validate_toupie(q)
     return q._branches
 
 

@@ -227,23 +227,18 @@ class GroebnerData:
 
     @property
     def nontips_by_degree(self) -> dict[int, tuple[Path, ...]]:
+        """The nontips of each length: the intervals [i, j) of a branch b with j < ends[b][i]."""
         got = getattr(self, "_nontips", None)
         if got is None:
             by_deg: dict[int, list[Path]] = {0: [Path(v, ()) for v in self.quiver.vertices]}
-            frontier = by_deg[0]
-            d = 0
-            while frontier:
-                d += 1
-                nxt = []
-                for p in frontier:
-                    for a in self.quiver.out[p.target]:
-                        q = Path(p.source, p.arrows + (a,))
-                        if q not in self.tip_ideal:
-                            nxt.append(q)
-                if nxt:
-                    by_deg[d] = nxt
-                frontier = nxt
-            got = self._nontips = {d: tuple(sorted(ps, key=Path.sort_key)) for d, ps in by_deg.items()}
+            ti = self.tip_ideal
+            for br, ends in zip(ti.branches, ti.ends):
+                for i in range(len(br)):
+                    for j in range(i + 1, ends[i]):
+                        by_deg.setdefault(j - i, []).append(br.slice(i, j))
+            got = self._nontips = {
+                d: tuple(sorted(ps, key=Path.sort_key)) for d, ps in sorted(by_deg.items())
+            }
         return got
 
     @property

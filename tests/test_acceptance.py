@@ -102,7 +102,7 @@ def test_03_graded_and_double_dual_on_running_example():
     )
     assert ideal_equal(dd, graded)
     assert gd.dim == 16
-    assert build_groebner(graded.presentation()).dim == 16
+    assert build_groebner(graded).dim == 16
 
 
 def test_04_sdr_closed_forms_match_zigzag_oracle():
@@ -164,7 +164,7 @@ def test_07_resolution_square_zero_minimal_betti():
 def test_08_dimension_matches_graded_dimension(corpus):
     for pres in [three_branch_presentation(), *corpus]:
         gd = build_groebner(pres)
-        graded = build_groebner(gr_algebra(pres).presentation())
+        graded = build_groebner(gr_algebra(pres))
         assert gd.dim == graded.dim
 
 

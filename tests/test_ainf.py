@@ -15,7 +15,6 @@ from toupie.ainf import (
     TorCoalgebra,
     algebra_table,
     coalgebra_table,
-    delta_prime,
     stasheff_algebra_defects,
     stasheff_coalgebra_defects,
 )
@@ -40,17 +39,6 @@ def lift(*terms):
 @pytest.fixture
 def tor3(three_branch):
     return TorCoalgebra(build_groebner(three_branch))
-
-
-def test_delta_prime_splits(three_branch):
-    gd = build_groebner(three_branch)
-    q = gd.quiver
-    a1, a2, a3 = q.path("a1"), q.path("a2"), q.path("a3")
-    assert delta_prime((a1, a2)) == lift(((a1,), (a2,)))
-    assert delta_prime((a1, a2, a3)) == lift(
-        ((a1,), (a2, a3)), ((a1, a2), (a3,))
-    )
-    assert delta_prime((a1,)).is_zero
 
 
 def test_coproducts_three_branch_frozen(tor3):

@@ -152,6 +152,44 @@ def test_double_dual_and_gr(capsys, e1_path):
     assert report["result"]["dimension"] == {"gr": 16, "input": 16}
 
 
+def test_dual_reports_carry_provenance(capsys, e1_path):
+    for command in ("yoneda", "gr"):
+        code, report = run_json(capsys, command, e1_path)
+        assert code == 0, command
+        assert report["result"]["provenance"] == command
+
+
+def long_branch_path(tmp_path, length, side_cycle=0):
+    """One branch of `length` arrows with a quadratic monomial relation at
+    every position, beside a directed cycle on `side_cycle` extra vertices."""
+    names = [f"x{i}" for i in range(length)]
+    verts = ["0"] + [f"v{i}" for i in range(1, length)] + ["w"]
+    arrows = [{"name": n, "src": s, "dst": t} for n, s, t in zip(names, verts, verts[1:])]
+    ring = [f"c{i}" for i in range(side_cycle)]
+    arrows += [
+        {"name": f"y{i}", "src": s, "dst": t}
+        for i, (s, t) in enumerate(zip(ring, ring[1:] + ring[:1]))
+    ]
+    rels = [[{"coeff": "1", "path": names[i : i + 2]}] for i in range(length - 1)]
+    path = tmp_path / f"line-{length}-{side_cycle}.json"
+    path.write_text(json.dumps({"vertices": verts + ring, "arrows": arrows, "relations": rels}))
+    return str(path)
+
+
+def test_long_branch_needs_no_deep_recursion(capsys, tmp_path):
+    line = long_branch_path(tmp_path, 600)
+    for argv in (["tips"], ["chains", "--degree", "1"], ["validate"]):
+        code, report = run_json(capsys, argv[0], line, *argv[1:])
+        assert code == 0, argv
+    assert report["result"]["branch_lengths"] == [600]
+
+
+def test_long_branch_beside_a_long_cycle_is_rejected(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "validate", long_branch_path(tmp_path, 600, side_cycle=600))
+    assert code == 1
+    assert "directed cycle" in out
+
+
 def test_validate_rejects_non_toupie(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "validate", non_toupie_path(tmp_path))
     assert code == 1

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from tests.conftest import single_chain_presentation
 from toupie.ainf import ExtAlgebra, TorCoalgebra
 from toupie.duality import (
-    AlgebraPresentation,
     HypothesesError,
     double_dual,
     gamma_graph,
@@ -106,14 +105,13 @@ def test_gr_three_branch_frozen(three_branch):
     grp = gr_algebra(three_branch)
     q = three_branch.quiver
     b12, c12 = q.path("b1", "b2"), q.path("c1", "c2")
-    assert grp.provenance == "gr"
     assert grp.quiver is q
     assert grp.relations == (
         FormalSum.lift(b12),
         FormalSum({b12: Fraction(1), c12: Fraction(-1)}),
     )
     assert build_groebner(three_branch).dim == 16
-    assert build_groebner(grp.presentation()).dim == 16
+    assert build_groebner(grp).dim == 16
 
 
 def test_gr_keeps_homogeneous_relations():
@@ -130,7 +128,7 @@ def test_gr_homogeneous_and_dimension_preserving(seed):
     grp = gr_algebra(pres)
     for rel in grp.relations:
         assert len({len(p) for p in rel.terms}) == 1
-    assert build_groebner(pres).dim == build_groebner(grp.presentation()).dim
+    assert build_groebner(pres).dim == build_groebner(grp).dim
 
 
 # -- dual presentations -------------------------------------------------------
@@ -138,7 +136,6 @@ def test_gr_homogeneous_and_dimension_preserving(seed):
 
 def test_yoneda_three_branch_frozen(three_branch):
     y = yoneda_presentation(three_branch)
-    assert y.provenance == "yoneda"
     op = y.quiver
     assert {(a.name, a.src, a.dst) for a in op.arrows} == {
         (a.name + "*", a.dst, a.src) for a in three_branch.quiver.arrows
@@ -197,20 +194,19 @@ def test_quadratic_blocks_round_trip(three_branch):
 def test_double_dual_three_branch_frozen(three_branch):
     dd = double_dual(three_branch)
     q = three_branch.quiver
-    assert dd.provenance == "double-dual"
     assert dd.quiver is q
     assert dd.relations == (
         FormalSum.lift(q.path("b1", "b2")),
         FormalSum.lift(q.path("c1", "c2")),
     )
     assert ideal_equal(dd, gr_algebra(three_branch))
-    assert build_groebner(dd.presentation()).dim == 16
+    assert build_groebner(dd).dim == 16
 
 
 def test_double_dual_involutive_on_quadratic_monomial():
     pres = single_chain_presentation([["d1", "d2"]])
     dd = double_dual(pres)
-    assert ideal_equal(dd, AlgebraPresentation(pres.quiver, pres.relations, "input"))
+    assert ideal_equal(dd, pres)
 
 
 # -- ideal comparison ---------------------------------------------------------

@@ -163,35 +163,57 @@ def test_validate_toupie_accepts_fixtures(three_branch, overlap_monomial):
     assert validate_toupie(overlap_monomial.quiver) == ("0", "w")
 
 
+def kahn_is_acyclic(vertices, arrows) -> bool:
+    """Kahn's algorithm: peel off vertices with no remaining incoming arrow."""
+    indeg = {v: 0 for v in vertices}
+    for _, _, dst in arrows:
+        indeg[dst] += 1
+    ready = [v for v in vertices if not indeg[v]]
+    peeled = 0
+    while ready:
+        v = ready.pop()
+        peeled += 1
+        for _, src, dst in arrows:
+            if src == v:
+                indeg[dst] -= 1
+                if not indeg[dst]:
+                    ready.append(dst)
+    return peeled == len(vertices)
+
+
 def brute_force_is_toupie(q: Quiver) -> bool:
-    sources = [v for v in q.vertices if not q.inn[v]]
-    sinks = [v for v in q.vertices if not q.out[v]]
+    # degrees counted from the arrow list, not from the quiver's adjacency maps
+    inn = {v: sum(a.dst == v for a in q.arrows) for v in q.vertices}
+    out = {v: sum(a.src == v for a in q.arrows) for v in q.vertices}
+    sources = [v for v in q.vertices if not inn[v]]
+    sinks = [v for v in q.vertices if not out[v]]
     if len(sources) != 1 or len(sinks) != 1 or sources == sinks:
         return False
-    if not q.arrows or not q.is_acyclic():
+    if not q.arrows or not kahn_is_acyclic(q.vertices, q.arrows):
         return False
     return all(
-        len(q.inn[v]) == 1 and len(q.out[v]) == 1
-        for v in q.vertices
-        if v not in (sources[0], sinks[0])
+        inn[v] == 1 and out[v] == 1 for v in q.vertices if v not in (sources[0], sinks[0])
     )
 
 
 def test_validate_toupie_iff_small_quivers():
-    # every digraph on 3 vertices with at most one arrow per ordered pair
-    verts = ["p", "q", "r"]
-    pairs = [(u, v) for u in verts for v in verts if u != v]
-    for mask in range(2 ** len(pairs)):
-        arrows = [
-            (f"e{i}", u, v) for i, (u, v) in enumerate(pairs) if mask >> i & 1
-        ]
-        q = Quiver(verts, arrows)
-        ok = brute_force_is_toupie(q)
-        try:
-            validate_toupie(q)
-            assert ok, f"accepted non-toupie {arrows}"
-        except ValueError:
-            assert not ok, f"rejected toupie {arrows}"
+    # every digraph on 3 and on 4 vertices with at most one arrow per ordered
+    # pair; 4 is the least vertex count whose degrees can pass around a
+    # directed cycle (two inner vertices swapping arrows beside the
+    # source-sink arrow)
+    for verts in (["p", "q", "r"], ["p", "q", "r", "s"]):
+        pairs = [(u, v) for u in verts for v in verts if u != v]
+        for mask in range(2 ** len(pairs)):
+            arrows = [
+                (f"e{i}", u, v) for i, (u, v) in enumerate(pairs) if mask >> i & 1
+            ]
+            q = Quiver(verts, arrows)
+            ok = brute_force_is_toupie(q)
+            try:
+                validate_toupie(q)
+                assert ok, f"accepted non-toupie {arrows}"
+            except ValueError:
+                assert not ok, f"rejected toupie {arrows}"
 
 
 def test_validate_toupie_rejects_cycle_off_to_the_side():

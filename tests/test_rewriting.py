@@ -269,6 +269,13 @@ def assert_tip_ideal_is_brute_force(pres):
             if not v.is_trivial and v.source == prev.target and in_ideal[compose(prev, v)]
         ]
         assert ideal.cut(prev) is min(heads, key=len, default=None), prev
+    # the nontip basis: the paths containing no tip, grouped by length in
+    # increasing key order
+    by_len: dict = {}
+    for p in sorted((p for p in paths if not in_ideal[p]), key=Path.sort_key):
+        by_len.setdefault(len(p), []).append(p)
+    want = {d: tuple(ps) for d, ps in sorted(by_len.items())}
+    assert list(gd.nontips_by_degree.items()) == list(want.items())
 
 
 @pytest.mark.parametrize(
