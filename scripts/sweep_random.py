@@ -3,11 +3,14 @@
 oracle pair we have (closed vs transfer coproducts, the retract's closed
 forms vs its zigzag oracle on the full and on each truncated bar complex,
 coherence suites, dimension vs graded dimension, double dual vs gr where the
-construction applies).  Prints one line per seed and a totals row; exits
+construction applies), and that every coefficient of the tables, of the
+retract's p/i/h and of the Anick differential is exact (`int` or
+`Fraction`, never float).  Prints one line per seed and a totals row; exits
 nonzero on any mismatch."""
 
 import argparse
 import sys
+from fractions import Fraction
 
 from toupie import (
     BarSDR,
@@ -24,6 +27,31 @@ from toupie import (
     stasheff_algebra_defects,
     stasheff_coalgebra_defects,
 )
+from toupie.anick import AnickResolution
+
+
+def exactness_problems(tor, ctab, atab) -> list:
+    """One line per coefficient that is not an `int` or a `Fraction`: in the
+    tables, in p/h/i on every cell of the full bar complex, and in the Anick
+    differential and projection on every cell and chain."""
+    cx = tor.sdr.complex
+    res = AnickResolution(tor.gd)
+    cells = [c for d in sorted(cx.cells_by_degree) for c in cx.cells_by_degree[d]]
+    sums = [(f"coalgebra table at {k!r}", v) for layer in ctab.values() for k, v in layer.items()]
+    sums += [(f"algebra table at {k!r}", v) for layer in atab.values() for k, v in layer.items()]
+    for c in cells:
+        sums += [(f"p at {c!r}", cx.p(c)), (f"h at {c!r}", cx.h(c))]
+        if cx.status(c) == "critical":
+            sums.append((f"i at {c!r}", cx.i(c)))
+        sums += [(f"Anick d at {c!r}", res.bimodule_diff(c)), (f"Anick p at {c!r}", res.p(c))]
+    for d in range(tor.cg.max_chain_degree() + 1):
+        sums += [(f"Anick differential at {c!r}", res.differential(c)) for c in tor.cg.chains(d)]
+    return [
+        f"inexact coefficient {c!r} in {label}"
+        for label, fs in sums
+        for c in fs.terms.values()
+        if type(c) not in (int, Fraction)
+    ]
 
 
 def check_seed(seed: int, arity: int) -> list:
@@ -49,6 +77,7 @@ def check_seed(seed: int, arity: int) -> list:
     tuples = {n: ext.composable_tuples(n) for n in range(2, arity + 1)}
     if stasheff_algebra_defects(atab, tuples, arity):
         problems.append("algebra coherence defect")
+    problems += exactness_problems(tor, ctab, atab)
 
     graded = gr_algebra(pres)
     if build_groebner(graded).dim != gd.dim:

@@ -336,7 +336,7 @@ def stasheff_algebra_defects(table: dict, tuples_by_arity: dict, n_max: int) -> 
                     sign = (-1) ** (r + s * t)
                     for gamma, c in inner.terms.items():
                         outer = _table_get(table, r + 1 + t, tup[:r] + (gamma,) + tup[r + s :])
-                        total += outer.scale(sign * koszul * c)
+                        total.add_scaled(outer, sign * koszul * c)
             if total:
                 bad.append((n, tup, total))
     return bad

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .chains import ChainGraph
 from .morse import bar_differential, classify_word
-from .presentation import FormalSum, Path, compose
+from .presentation import FormalSum, Path, compose, qdiv
 from .rewriting import GroebnerData
 
 __all__ = ["AnickResolution", "betti_numbers"]
@@ -99,7 +99,7 @@ class AnickResolution:
             for (l, y, r), c in d_up.terms.items():
                 if (l, y, r) == me:
                     continue
-                got += self._sandwich(l, r, self.p(y)).scale(-c / lam)
+                got.add_scaled(self._sandwich(l, r, self.p(y)), qdiv(-c, lam))
         self._p_cache[cell] = got
         return got
 
@@ -109,7 +109,7 @@ class AnickResolution:
             raise ValueError(f"not a chain generator: {chain!r}")
         out = FormalSum()
         for (l, y, r), c in self.bimodule_diff(chain).terms.items():
-            out += self._sandwich(l, r, self.p(y)).scale(c)
+            out.add_scaled(self._sandwich(l, r, self.p(y)), c)
         return out
 
     def augmentation(self, fs: FormalSum) -> FormalSum:
@@ -141,7 +141,7 @@ class AnickResolution:
                 else:
                     dd = FormalSum()
                     for (l, y, r), c in dv.terms.items():
-                        dd += self._sandwich(l, r, self.differential(y)).scale(c)
+                        dd.add_scaled(self._sandwich(l, r, self.differential(y)), c)
                     if dd:
                         report["square_zero"] = False
                         report["violations"].append(f"d∘d != 0 at {chain!r}")

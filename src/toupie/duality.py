@@ -22,6 +22,7 @@ from .presentation import (
     _term_key,
     branches_of,
     lincomb_mul,
+    qdiv,
 )
 from .rewriting import GroebnerData, build_groebner, rref
 
@@ -151,7 +152,7 @@ def gr_algebra(pres: Presentation) -> Presentation:
         c0 = supp[k0][1]
         out = FormalSum.lift(supp[k0][0])
         for b, c in supp[k0 + 1 :]:
-            out.add_term(b, c / c0)
+            out.add_term(b, qdiv(c, c0))
         assert {len(b) for b in out.terms} == {min_len}, "graded replacement not homogeneous"
         rels_out.append(out)
     rels_out.extend(FormalSum.lift(t) for t in g.mono_tips)

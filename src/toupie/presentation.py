@@ -11,7 +11,9 @@ checks and the branch classes live with the reduced relations in `rewriting`.
 
 Paths are interned: equal paths are one object, so the dicts and sets keyed
 by paths (and by tuples of paths, such as bar cells) hash and compare them by
-identity.  Formal sums store exact `Fraction` coefficients only.
+identity.  Formal sums store exact rationals (`int` when integral, else
+`Fraction`), never float: every coefficient enters through one normaliser,
+and every quotient of coefficients is taken by `qdiv`.
 """
 from __future__ import annotations
 
@@ -24,6 +26,7 @@ __all__ = [
     "Arrow",
     "Path",
     "FormalSum",
+    "qdiv",
     "Quiver",
     "Presentation",
     "compose",
@@ -129,8 +132,29 @@ def _term_key(x):
     return (3, x)
 
 
+def _exact(c):
+    """The exact rational c: an `int` when integral, else a `Fraction`; a float raises."""
+    if type(c) is int:
+        return c
+    if isinstance(c, float):
+        raise TypeError(f"coefficients are exact rationals, not float: {c!r}")
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def qdiv(a, b):
+    """The exact quotient a / b: an `int` when integral, else a `Fraction`."""
+    if type(a) is int and type(b) is int and b and not a % b:
+        return a // b
+    return _exact(Fraction(a, b))
+
+
 class FormalSum:
-    """A finite Q-linear combination of hashable terms.  Zero terms are never stored."""
+    """A finite Q-linear combination of hashable terms.  Zero terms are never stored.
+
+    Coefficients are exact rationals: an `int` when integral, else a `Fraction`.
+    """
 
     __slots__ = ("terms",)
 
@@ -143,54 +167,80 @@ class FormalSum:
     @classmethod
     def lift(cls, key, coeff=1) -> "FormalSum":
         s = cls()
-        s.add_term(key, coeff)
+        c = coeff if type(coeff) is int else _exact(coeff)
+        if c:
+            s.terms[key] = c
         return s
 
     def add_term(self, key, coeff) -> None:
-        if not isinstance(coeff, Fraction):
-            coeff = Fraction(coeff)
+        if type(coeff) is not int:
+            coeff = _exact(coeff)
         old = self.terms.get(key)
         if old is not None:
             coeff += old
             if not coeff:
                 del self.terms[key]
                 return
+            if type(coeff) is not int:
+                coeff = _exact(coeff)
         if coeff:
             self.terms[key] = coeff
 
-    def __iadd__(self, other: "FormalSum") -> "FormalSum":
-        for k, c in other.terms.items():
-            self.add_term(k, c)
+    def add_scaled(self, other: "FormalSum", c=1) -> "FormalSum":
+        """self += c * other, in place; returns self."""
+        if type(c) is not int:
+            c = _exact(c)
+        if not c:
+            return self
+        terms = self.terms
+        items = other.terms.items()
+        if c == -1:
+            items = [(k, -v) for k, v in items]
+        elif c != 1:
+            items = [(k, _exact(v * c)) for k, v in items]
+        elif other is self:
+            items = list(items)
+        for k, v in items:
+            old = terms.get(k)
+            if old is None:
+                terms[k] = v
+            else:
+                v += old
+                if not v:
+                    del terms[k]
+                else:
+                    terms[k] = v if type(v) is int else _exact(v)
         return self
 
+    def __iadd__(self, other: "FormalSum") -> "FormalSum":
+        return self.add_scaled(other)
+
     def __add__(self, other: "FormalSum") -> "FormalSum":
-        out = FormalSum(dict(self.terms))
-        out += other
-        return out
+        return self.scale(1).add_scaled(other)
 
     def __sub__(self, other: "FormalSum") -> "FormalSum":
-        return self + other.scale(-1)
+        return self.scale(1).add_scaled(other, -1)
 
     def __neg__(self) -> "FormalSum":
         return self.scale(-1)
 
     def scale(self, c) -> "FormalSum":
         out = FormalSum()
+        if type(c) is not int:
+            c = _exact(c)
         if c == 1:
             out.terms = dict(self.terms)
         elif c == -1:
             out.terms = {k: -v for k, v in self.terms.items()}
         elif c:
-            if not isinstance(c, Fraction):
-                c = Fraction(c)
-            out.terms = {k: v * c for k, v in self.terms.items()}
+            out.add_scaled(self, c)
         return out
 
     def map_terms(self, fn) -> "FormalSum":
         """Linear extension of fn(key) -> FormalSum."""
         out = FormalSum()
         for k, c in self.terms.items():
-            out += fn(k).scale(c)
+            out.add_scaled(fn(k), c)
         return out
 
     @property
@@ -203,8 +253,8 @@ class FormalSum:
     def items(self):
         return sorted(self.terms.items(), key=lambda kc: _term_key(kc[0]))
 
-    def coeff(self, key) -> Fraction:
-        return self.terms.get(key, Fraction(0))
+    def coeff(self, key):
+        return self.terms.get(key, 0)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FormalSum) and self.terms == other.terms

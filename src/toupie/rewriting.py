@@ -207,8 +207,10 @@ class GroebnerData:
     # -- normal forms --------------------------------------------------------
 
     def normal_form(self, x) -> FormalSum:
+        """The normal form of a path or of a sum of paths.  A path's is the
+        cached sum itself, shared: read it without editing."""
         if isinstance(x, Path):
-            x = FormalSum.lift(x)
+            return self._nf_path(x)
         return x.map_terms(self._nf_path)
 
     def _nf_path(self, p: Path) -> FormalSum:
@@ -258,7 +260,12 @@ class GroebnerData:
 
     @property
     def dim(self) -> int:
-        return len(self.nontips)
+        """len(self.nontips), counted off the tip ideal: the vertices, plus per
+        branch position i the intervals [i, j) with i < j < ends[b][i]."""
+        ends = self.tip_ideal.ends
+        return len(self.quiver.vertices) + sum(
+            max(0, e - i - 1) for row in ends for i, e in enumerate(row)
+        )
 
 
 def build_groebner(pres: Presentation) -> GroebnerData:

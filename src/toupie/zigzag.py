@@ -10,9 +10,7 @@ on the critical complex.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .presentation import FormalSum
+from .presentation import FormalSum, qdiv
 
 __all__ = ["BasedComplex", "verify_sdr"]
 
@@ -51,7 +49,7 @@ class BasedComplex:
             c = self.diff(hi).coeff(lo)
             if not c:
                 raise ValueError(f"matched coefficient of {lo!r} in d({hi!r}) is zero")
-            self._weight[lo] = -1 / c
+            self._weight[lo] = qdiv(-1, c)
         self._p_cache: dict = {}
         self._I_cache: dict = {}
         self._busy: set = set()
@@ -74,14 +72,14 @@ class BasedComplex:
     def critical(self, degree: int):
         return tuple(c for c in self.cells_by_degree.get(degree, ()) if self.status(c) == "critical")
 
-    def dotted_weight(self, lower) -> Fraction:
+    def dotted_weight(self, lower):
         return self._weight[lower]
 
     def thick(self, cell) -> FormalSum:
         d = self.diff(cell)
         if cell in self.down:
-            d = FormalSum(dict(d.terms))
-            d.add_term(self.down[cell], -d.coeff(self.down[cell]))
+            lo = self.down[cell]
+            d = d - FormalSum.lift(lo, d.coeff(lo))
         return d
 
     # -- transfer maps ---------------------------------------------------------
@@ -118,7 +116,7 @@ class BasedComplex:
         out = FormalSum.lift(cell)
         for y, w in self.thick(cell).terms.items():
             if y in self.up:
-                out += self._walk_up(self.up[y]).scale(w * self.dotted_weight(y))
+                out.add_scaled(self._walk_up(self.up[y]), w * self.dotted_weight(y))
         self._busy.discard(key)
         self._I_cache[cell] = out
         return out

@@ -1,8 +1,11 @@
 """Paths, sums, quiver shape checks."""
 from __future__ import annotations
 
+import ast
 import gc
 import json
+import pathlib
+import tokenize
 from fractions import Fraction
 from itertools import product
 
@@ -19,10 +22,16 @@ from toupie.presentation import (
     branches_of,
     compose,
     lincomb_mul,
+    qdiv,
     validate_toupie,
 )
+import toupie
+from toupie.anick import AnickResolution
 from toupie.cli import main, parse_presentation, presentation_payload
+from toupie.duality import gr_algebra
+from toupie.morse import bar_words, classify_word
 from toupie.rewriting import build_groebner, classify_branches
+from toupie.zigzag import BasedComplex
 from tests.conftest import occurs, three_branch_presentation
 
 
@@ -125,8 +134,108 @@ def test_formal_sum_never_stores_zero(ops):
             s = scaled
             model = {k: v * Fraction(c) for k, v in model.items()}
         assert s.terms == {k: v for k, v in model.items() if v}
-        # exact and never zero: an int here would turn -1 / coeff into a float
-        assert all(type(v) is Fraction and v for v in s.terms.values())
+        # exact and never zero; an int coefficient cannot turn a quotient into a
+        # float, as every quotient goes through qdiv (see test_no_true_division_outside_qdiv)
+        assert all(type(v) in (int, Fraction) and v for v in s.terms.values())
+
+
+def test_float_coefficients_are_rejected():
+    s = FormalSum.lift("x", 2)
+    with pytest.raises(TypeError, match="float"):
+        s.add_term("y", 0.5)
+    with pytest.raises(TypeError, match="float"):
+        s.scale(0.5)
+    with pytest.raises(TypeError, match="float"):
+        FormalSum({"x": 0.5})
+    with pytest.raises(TypeError, match="float"):
+        FormalSum().add_scaled(s, 1.0)
+    assert s == FormalSum.lift("x", 2)
+
+
+def test_coefficients_are_int_when_integral():
+    s = FormalSum({"x": Fraction(4, 2), "y": Fraction(1, 2)})
+    assert type(s.coeff("x")) is int and type(s.coeff("y")) is Fraction
+    s.add_term("y", Fraction(1, 2))
+    assert s.terms == {"x": 2, "y": 1} and type(s.coeff("y")) is int
+    half = s.scale(Fraction(1, 2))
+    assert half.terms == {"x": 1, "y": Fraction(1, 2)} and type(half.coeff("x")) is int
+    assert s.coeff("z") == 0
+
+
+@given(
+    st.one_of(st.integers(-50, 50), coeffs),
+    st.one_of(st.integers(-50, 50), coeffs).filter(bool),
+)
+def test_qdiv_is_the_exact_quotient(a, b):
+    q = qdiv(a, b)
+    exact = Fraction(a) / Fraction(b)
+    assert q == exact
+    assert type(q) is (int if exact.denominator == 1 else Fraction)
+
+
+def test_dotted_weight_of_a_non_unit_match_is_exact():
+    # d(y) = 2x with x matched to y: the dotted arrow x -> y weighs -1/2
+    diff = {"x": FormalSum(), "y": FormalSum.lift("x", 2)}
+    cx = BasedComplex({0: ["x"], 1: ["y"]}, diff.__getitem__, {"x": "y"})
+    w = cx.dotted_weight("x")
+    assert type(w) is Fraction and w == Fraction(-1, 2)
+    h = cx.h("x")
+    assert h.terms == {"y": Fraction(1, 2)} and type(h.coeff("y")) is Fraction
+
+
+def test_anick_transfer_is_exact_over_a_non_unit_relation():
+    # a1a2a3 rewrites to 2 c1c2, so the projection recursion divides by the
+    # matched coefficient and multiplies by 2 in its decorations
+    pres = three_branch_presentation()
+    q = pres.quiver
+    rel = FormalSum({q.path("a1", "a2", "a3"): 1, q.path("c1", "c2"): -2})
+    gd = build_groebner(Presentation(q, (rel,), pres.order))
+    res = AnickResolution(gd)
+    words = [w for cells in bar_words(gd).values() for w in cells]
+    lower = [w for w in words if classify_word(res.cg, w)[0] == "lower"]
+    projected = [res.p(w) for w in lower]
+    assert lower and any(projected)
+    differentials = [res.differential(c) for d in range(3) for c in res.cg.chains(d)]
+    values = [c for fs in projected + differentials for c in fs.terms.values()]
+    assert 2 in values or -2 in values
+    assert all(type(c) in (int, Fraction) for c in values)
+    assert res.check(3) == {"square_zero": True, "augmented": True, "minimal": True, "violations": []}
+
+
+@pytest.mark.parametrize(
+    "coeffs, expected",
+    [((2, 3, -1), Fraction(-1, 3)), ((1, -2, 4), -2)],
+    ids=["fraction", "integral"],
+)
+def test_gr_rescaling_is_exact(coeffs, expected):
+    # one relation over all three branches: its graded block is b1b2 + (c/c0) c1c2
+    pres = three_branch_presentation()
+    q = pres.quiver
+    branches = (q.path("a1", "a2", "a3"), q.path("b1", "b2"), q.path("c1", "c2"))
+    rel = FormalSum(dict(zip(branches, coeffs)))
+    (graded,) = gr_algebra(Presentation(q, (rel,), pres.order)).relations
+    assert graded.terms == {branches[1]: 1, branches[2]: expected}
+    assert type(graded.coeff(branches[2])) is type(expected)
+
+
+def test_no_true_division_outside_qdiv():
+    # an int coefficient divided with `/` is a float; every quotient goes through qdiv
+    found = []
+    for src in sorted(pathlib.Path(toupie.__file__).parent.glob("*.py")):
+        text = src.read_text()
+        spans = [
+            (node.lineno, node.end_lineno)
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.FunctionDef) and node.name == "qdiv"
+        ]
+        with src.open("rb") as fh:
+            for tok in tokenize.tokenize(fh.readline):
+                line = tok.start[0]
+                if tok.type == tokenize.OP and tok.string in ("/", "/=") and not any(
+                    lo <= line <= hi for lo, hi in spans
+                ):
+                    found.append(f"{src.name}:{line}")
+    assert found == []
 
 
 @given(

@@ -16,6 +16,8 @@ from tests.conftest import (
     monomial_presentations,
     occurs,
     overlap_monomial_presentation,
+    parallel_presentation,
+    plain_beside_quadratic_presentation,
     single_chain_presentation,
     three_branch_presentation,
 )
@@ -310,3 +312,24 @@ def test_tip_ideal_matches_brute_force_on_overlapping_monomials(pres):
         (p for p in rels if not any(q is not p and occurs(p, q) for q in rels)), key=Path.sort_key
     )
     assert list(build_groebner(pres).mono_tips) == minimal
+
+
+def _dim_subjects():
+    fixed = [
+        three_branch_presentation(),
+        overlap_monomial_presentation(),
+        plain_beside_quadratic_presentation(8),
+        parallel_presentation([5, 1]),
+        lines_presentation(1, 10, 2),
+        lines_presentation(1, 10, 3),
+    ]
+    return fixed + [random_presentation(seed) for seed in range(30)]
+
+
+@pytest.mark.parametrize("pres", _dim_subjects())
+def test_dim_counts_the_nontip_basis_without_building_it(pres):
+    gd = build_groebner(pres)
+    dim = gd.dim
+    # the count reads the tip ideal only: the nontip paths stay unbuilt
+    assert getattr(gd, "_nontips", None) is None
+    assert dim == len(gd.nontips)
