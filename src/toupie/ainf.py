@@ -246,23 +246,6 @@ class ExtAlgebra:
         out.add_term(gamma, (-1) ** m_exp)
         return out
 
-    # -- tuple enumeration -----------------------------------------------------
-
-    def composable_tuples(self, arity: int) -> list[tuple]:
-        """All arity-tuples of chains whose underlying paths concatenate."""
-        chains = self.tor.all_chains()
-        by_source: dict = {}
-        for c in chains:
-            by_source.setdefault(underlying_path(c).source, []).append(c)
-        tuples = [(c,) for c in chains]
-        for _ in range(arity - 1):
-            tuples = [
-                t + (c,)
-                for t in tuples
-                for c in by_source.get(underlying_path(t[-1]).target, ())
-            ]
-        return tuples
-
 
 def coalgebra_table(tor: TorCoalgebra, n_max: int) -> dict:
     """arity -> {chain: Delta_n(chain)} with zero values dropped (arity 1 is empty);
@@ -277,7 +260,7 @@ def algebra_table(ext: ExtAlgebra, n_max: int) -> dict:
     """arity -> {dual tuple: m_n value} with zero values dropped (arity 1 is empty).
 
     Rows are the keys of the transposed layer, ordered by the positions of their
-    chains in `all_chains`: the nested order of `composable_tuples`.
+    chains in `all_chains`: the nested order of the composable tuples.
     """
     index = {c: i for i, c in enumerate(ext.tor.all_chains())}
     table: dict = {1: {}}
@@ -316,27 +299,41 @@ def stasheff_coalgebra_defects(table: dict, chains, n_max: int) -> list:
     return bad
 
 
-def stasheff_algebra_defects(table: dict, tuples_by_arity: dict, n_max: int) -> list:
-    """Coherence of the product table: for each composable tuple and n <= n_max,
-    the signed sum of m_{r+1+t}(id^r x m_s x id^t) must vanish.
+def stasheff_algebra_defects(table: dict, chains, n_max: int) -> list:
+    """Coherence of the product table: for each tuple of n <= n_max chains, the
+    signed sum of m_{r+1+t}(id^r x m_s x id^t) must vanish.  Returns (n, tuple,
+    defect) triples ordered by n, then by the positions of the tuple's chains
+    in `chains` (the nested composable order).
+
+    Each defect is built from the table's nonzero entries: every outer key K,
+    slot r and inner key W with K[r] in m_s(W) adds one term to the tuple
+    K[:r] + W + K[r+1:].  Reads only the table, so corrupted tables report
+    honestly, a key that is not composable included.
     """
-    bad = []
-    for n in range(2, n_max + 1):
-        for tup in tuples_by_arity.get(n, ()):
-            total = FormalSum()
-            for s in range(2, n + 1):
-                for r in range(0, n - s + 1):
-                    t = n - s - r
-                    if r + 1 + t < 2:
-                        continue
-                    inner = _table_get(table, s, tup[r : r + s])
-                    if inner.is_zero:
-                        continue
-                    koszul = (-1) ** (s * sum(len(f) for f in tup[:r]))
-                    sign = (-1) ** (r + s * t)
-                    for gamma, c in inner.terms.items():
-                        outer = _table_get(table, r + 1 + t, tup[:r] + (gamma,) + tup[r + s :])
-                        total.add_scaled(outer, sign * koszul * c)
-            if total:
-                bad.append((n, tup, total))
-    return bad
+    # value index per inner arity: gamma -> [(W, c)] for every gamma in m_s(W)
+    by_value: dict = {}
+    for s in range(2, n_max):
+        index = by_value[s] = {}
+        for word, fs in table.get(s, {}).items():
+            for gamma, c in fs.terms.items():
+                index.setdefault(gamma, []).append((word, c))
+    totals: dict = {}
+    for a in range(2, n_max):
+        for key, outer in table.get(a, {}).items():
+            pre = 0  # total degree of key[:r]
+            for r, gamma in enumerate(key):
+                t = a - 1 - r
+                for s in range(2, n_max + 2 - a):
+                    sign = -1 if (r + s * (t + pre)) & 1 else 1
+                    for word, c in by_value[s].get(gamma, ()):
+                        tup = key[:r] + word + key[r + 1 :]
+                        total = totals.get(tup)
+                        if total is None:
+                            total = totals[tup] = FormalSum()
+                        total.add_scaled(outer, sign * c)
+                pre += len(gamma)
+    pos = {c: i for i, c in enumerate(chains)}
+    return sorted(
+        ((len(tup), tup, total) for tup, total in totals.items() if total),
+        key=lambda row: (row[0], [pos.get(c, len(pos)) for c in row[1]]),
+    )

@@ -226,9 +226,47 @@ def build_report(job: JobSpec, digest: str, status: str, result: dict) -> dict:
     }
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json(value, indent: str) -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)` continued at `indent`, in one
+    pass: str-keyed dicts, lists, str, int, bool and None are written here, any
+    other value by `json.dumps` with its lines shifted.  Containers are built
+    with one join and one f-string each, so a large report is copied once per
+    nesting level, not once per `+`."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        if all(type(x) is str for x in value):
+            body = (",\n" + inner).join(map(_quote, value))
+        else:
+            body = (",\n" + inner).join([_json(x, inner) for x in value])
+        return f"[\n{inner}{body}\n{indent}]"
+    if kind is dict and all(type(k) is str for k in value):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        body = (",\n" + inner).join(
+            [f"{_quote(k)}: {_json(value[k], inner)}" for k in sorted(value)]
+        )
+        return f"{{\n{inner}{body}\n{indent}}}"
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+
+
 def render_report(report: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+        return _json(report, "") + "\n"
     params = report["parameters"]
     lines = [
         "toupie " + report["tool"]["version"],
@@ -363,9 +401,9 @@ def _stasheff_payload(gd, arity: int) -> dict:
     ext = ExtAlgebra(tor)
     ctab = coalgebra_table(tor, arity)
     atab = algebra_table(ext, arity)
-    cbad = stasheff_coalgebra_defects(ctab, tor.all_chains(), arity)
-    tuples = {n: ext.composable_tuples(n) for n in range(2, arity + 1)}
-    abad = stasheff_algebra_defects(atab, tuples, arity)
+    chains = tor.all_chains()
+    cbad = stasheff_coalgebra_defects(ctab, chains, arity)
+    abad = stasheff_algebra_defects(atab, chains, arity)
     return {
         "coalgebra_defects": [
             {"arity": n, "chain": chain_payload(c), "defect": _tensor_terms(fs)}

@@ -275,7 +275,8 @@ def build_groebner(pres: Presentation) -> GroebnerData:
     terms containing a monomial tip are dropped, and a relation left with a
     single term turns that branch into a new monomial relation (repeat until
     stable).  The survivors are row-reduced over the ordered branches; every
-    relation must contribute a pivot, otherwise the input was dependent.
+    relation must contribute a pivot, otherwise the input was dependent, and a
+    reduced row left with a single term makes its branch a monomial tip too.
 
     The result is stored on `pres`, so the reduction runs once per
     presentation however often this is asked.
@@ -325,6 +326,17 @@ def build_groebner(pres: Presentation) -> GroebnerData:
     reduced, pivots = rref(rows)
     if len(reduced) != len(rows):
         raise ValueError("duplicate relations: non-monomial relations are linearly dependent")
+    # a reduced row with one term is a whole branch in the ideal: a monomial tip.
+    # No other row uses its pivot column, so the column goes with it.
+    single = {c for row, c in zip(reduced, pivots) if sum(map(bool, row)) == 1}
+    if single:
+        mono_tips.extend(involved[c] for c in single)
+        keep = [j for j in range(len(involved)) if j not in single]
+        kept = [(row, c) for row, c in zip(reduced, pivots) if c not in single]
+        col = {j: i for i, j in enumerate(keep)}
+        reduced = [[row[j] for j in keep] for row, _ in kept]
+        pivots = [col[c] for _, c in kept]
+        involved = [involved[j] for j in keep]
 
     nonmono_rows = []
     for row, pc in zip(reduced, pivots):

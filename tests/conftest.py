@@ -4,6 +4,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import strategies as st
 
+from toupie.chains import underlying_path
 from toupie.presentation import FormalSum, Path, Presentation, Quiver
 
 
@@ -113,6 +114,52 @@ def occurs(p: Path, sub: Path) -> bool:
         return sub.source == p.source or any(a.dst == sub.source for a in p.arrows)
     m = len(sub.arrows)
     return any(p.arrows[i : i + m] == sub.arrows for i in range(len(p.arrows) - m + 1))
+
+
+def composable_tuples(ext, arity: int) -> list[tuple]:
+    """All arity-tuples of chains whose underlying paths concatenate, nested in
+    the order of `all_chains`."""
+    chains = ext.tor.all_chains()
+    by_source: dict = {}
+    for c in chains:
+        by_source.setdefault(underlying_path(c).source, []).append(c)
+    tuples = [(c,) for c in chains]
+    for _ in range(arity - 1):
+        tuples = [
+            t + (c,)
+            for t in tuples
+            for c in by_source.get(underlying_path(t[-1]).target, ())
+        ]
+    return tuples
+
+
+def _table_get(table: dict, arity: int, key) -> FormalSum:
+    return table.get(arity, {}).get(key) or FormalSum()
+
+
+def stasheff_algebra_defects_by_tuples(table: dict, tuples_by_arity: dict, n_max: int) -> list:
+    """Oracle for `stasheff_algebra_defects`: for each given tuple and n <= n_max,
+    the signed sum of m_{r+1+t}(id^r x m_s x id^t), evaluated window by window."""
+    bad = []
+    for n in range(2, n_max + 1):
+        for tup in tuples_by_arity.get(n, ()):
+            total = FormalSum()
+            for s in range(2, n + 1):
+                for r in range(0, n - s + 1):
+                    t = n - s - r
+                    if r + 1 + t < 2:
+                        continue
+                    inner = _table_get(table, s, tup[r : r + s])
+                    if inner.is_zero:
+                        continue
+                    koszul = (-1) ** (s * sum(len(f) for f in tup[:r]))
+                    sign = (-1) ** (r + s * t)
+                    for gamma, c in inner.terms.items():
+                        outer = _table_get(table, r + 1 + t, tup[:r] + (gamma,) + tup[r + s :])
+                        total.add_scaled(outer, sign * koszul * c)
+            if total:
+                bad.append((n, tup, total))
+    return bad
 
 
 @pytest.fixture

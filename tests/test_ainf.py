@@ -1,13 +1,16 @@
+import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 
 from tests.conftest import (
+    composable_tuples,
     lines_presentation,
     monomial_presentations,
     overlap_monomial_presentation,
     single_chain_presentation,
+    stasheff_algebra_defects_by_tuples,
     three_branch_presentation,
 )
 from toupie.ainf import (
@@ -161,7 +164,7 @@ def test_ext_products_match_oracle_pipeline(tor3):
     ext = ExtAlgebra(tor3)
     for n in (2, 3):
         oracle = ExtAlgebra.transpose(n, {c: tor3.transfer_delta(n, c) for c in tor3.all_chains()})
-        tuples = ext.composable_tuples(n)
+        tuples = composable_tuples(ext, n)
         assert set(oracle) <= set(tuples)
         for tup in tuples:
             assert ext.m(tup) == oracle.get(tup, FormalSum())
@@ -180,7 +183,7 @@ def test_closed_delta_runs_once_per_arity_and_chain(tor3, monkeypatch):
     coalgebra_table(tor3, 4)
     algebra_table(ext, 4)
     for n in (2, 3, 4):
-        for tup in ext.composable_tuples(n):
+        for tup in composable_tuples(ext, n):
             ext.m(tup)
     assert set(calls) == {(n, c) for n in (2, 3, 4) for c in tor3.all_chains()}
     assert max(calls.values()) == 1
@@ -205,7 +208,7 @@ def test_corrupted_tables_leave_products_intact(overlap_monomial):
     assert algebra_table(ext, 3)[2][key] == want
     assert coalgebra_table(tor, 3) == coalgebra_table(TorCoalgebra(tor.gd), 3)
     for n in (2, 3):
-        for tup in ext.composable_tuples(n):
+        for tup in composable_tuples(ext, n):
             assert ext.m(tup) == ext.closed_m(tup), (n, tup)
 
 
@@ -214,7 +217,7 @@ def assert_product_rows_in_composable_order(pres):
     table = algebra_table(ext, 5)
     for n in range(2, 6):
         layer = ext.layer(n)
-        assert list(table[n]) == [t for t in ext.composable_tuples(n) if t in layer], n
+        assert list(table[n]) == [t for t in composable_tuples(ext, n) if t in layer], n
 
 
 @pytest.mark.parametrize(
@@ -265,7 +268,7 @@ def test_one_term_product_form_agrees(three_branch, overlap_monomial):
     for pres in presentations:
         ext = ExtAlgebra(TorCoalgebra(build_groebner(pres)))
         for n in range(2, 6):
-            for tup in ext.composable_tuples(n):
+            for tup in composable_tuples(ext, n):
                 assert ext.m(tup) == ext.closed_m(tup), (n, tup)
 
 
@@ -276,8 +279,7 @@ def test_stasheff_identities_hold(three_branch, overlap_monomial):
         ctab = coalgebra_table(tor, 5)
         atab = algebra_table(ext, 5)
         assert stasheff_coalgebra_defects(ctab, tor.all_chains(), 5) == []
-        tuples = {n: ext.composable_tuples(n) for n in range(2, 6)}
-        assert stasheff_algebra_defects(atab, tuples, 5) == []
+        assert stasheff_algebra_defects(atab, tor.all_chains(), 5) == []
 
 
 def test_stasheff_catches_corrupted_sign(overlap_monomial):
@@ -288,6 +290,85 @@ def test_stasheff_catches_corrupted_sign(overlap_monomial):
     key = ((q.path("d1"),), (q.path("d2"),))
     atab[2] = dict(atab[2])
     atab[2][key] = atab[2][key].scale(-1)
-    tuples = {n: ext.composable_tuples(n) for n in range(2, 6)}
-    bad = stasheff_algebra_defects(atab, tuples, 5)
+    bad = stasheff_algebra_defects(atab, tor.all_chains(), 5)
     assert any(n == 3 for n, _, _ in bad)
+
+
+def corrupted_tables(table: dict, rng: random.Random) -> list:
+    """Copies of an algebra table with one entry sign-flipped, scaled by 2 or dropped."""
+    entries = [(n, key) for n in sorted(table) for key in table[n]]
+    out = []
+    for edit in (lambda fs: fs.scale(-1), lambda fs: fs.scale(2), None):
+        if not entries:
+            break
+        n, key = rng.choice(entries)
+        bad = {m: dict(row) for m, row in table.items()}
+        if edit is None:
+            del bad[n][key]
+        else:
+            bad[n][key] = edit(bad[n][key])
+        out.append(bad)
+    return out
+
+
+def assert_defects_match_tuple_oracle(pres, n_max: int, seed: int = 0) -> int:
+    """The defects read off the table's entries equal the tuple-by-tuple oracle's,
+    on the clean table and on three corruptions; returns how many corrupted
+    tables were caught."""
+    tor = TorCoalgebra(build_groebner(pres))
+    ext = ExtAlgebra(tor)
+    chains = tor.all_chains()
+    tuples = {n: composable_tuples(ext, n) for n in range(2, n_max + 1)}
+    clean = algebra_table(ext, n_max)
+    assert stasheff_algebra_defects(clean, chains, n_max) == []
+    assert stasheff_algebra_defects_by_tuples(clean, tuples, n_max) == []
+    caught = 0
+    for table in corrupted_tables(clean, random.Random(seed)):
+        got = stasheff_algebra_defects(table, chains, n_max)
+        assert got == stasheff_algebra_defects_by_tuples(table, tuples, n_max)
+        caught += bool(got)
+    return caught
+
+
+@pytest.mark.parametrize(
+    "pres, composes",
+    [
+        (three_branch_presentation(), False),
+        (overlap_monomial_presentation(), True),
+        (lines_presentation(1, 6, 2), True),
+        (lines_presentation(2, 6, 3), True),
+    ],
+    ids=["three-branch", "overlap", "line-6-2", "2xline-6-3"],
+)
+def test_stasheff_defects_match_tuple_oracle(pres, composes):
+    caught = sum(assert_defects_match_tuple_oracle(pres, 5, seed) for seed in range(3))
+    # three-branch has no product whose value feeds another, so no identity
+    # can see a corrupted entry; elsewhere every corruption is caught
+    assert caught == (9 if composes else 0)
+
+
+def test_stasheff_defects_match_tuple_oracle_on_random_draws():
+    for seed in range(40):
+        assert_defects_match_tuple_oracle(random_presentation(seed), 4, seed)
+
+
+@given(monomial_presentations())
+@settings(max_examples=30, deadline=None)
+def test_stasheff_defects_match_tuple_oracle_on_overlapping_monomials(pres):
+    assert_defects_match_tuple_oracle(pres, 5)
+
+
+def test_stasheff_reads_a_non_composable_key(overlap_monomial):
+    # the tuple oracle never looks at a key whose chains do not concatenate
+    tor = TorCoalgebra(build_groebner(overlap_monomial))
+    ext = ExtAlgebra(tor)
+    q = tor.gd.quiver
+    d1, d2 = (q.path("d1"),), (q.path("d2"),)
+    atab = algebra_table(ext, 3)
+    atab[2] = dict(atab[2])
+    atab[2][(d2, d1)] = atab[2][(d1, d2)].scale(1)
+    tuples = {n: composable_tuples(ext, n) for n in (2, 3)}
+    assert stasheff_algebra_defects_by_tuples(atab, tuples, 3) == []
+    bad = stasheff_algebra_defects(atab, tor.all_chains(), 3)
+    assert bad
+    assert all(n == 3 and tup not in tuples[3] for n, tup, _ in bad)

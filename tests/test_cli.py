@@ -5,13 +5,22 @@ import random
 import subprocess
 import sys
 import weakref
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import toupie.presentation
 import toupie.rewriting
 from tests.conftest import overlap_monomial_presentation, three_branch_presentation
-from toupie.cli import _COMMAND_NAMES, main, parse_presentation, presentation_payload
+from toupie.cli import (
+    _COMMAND_NAMES,
+    main,
+    parse_presentation,
+    presentation_payload,
+    render_report,
+)
 from toupie.presentation import Path
 from toupie.random_presentations import GeneratorConfig, random_presentation
 from toupie.rewriting import build_groebner, classify_branches
@@ -466,3 +475,74 @@ def test_reports_do_not_depend_on_the_intern_table(capsys, monkeypatch, tmp_path
         live = [Path(*spec) for spec in specs]  # the example's paths, at shuffled addresses
         assert reports() == fresh, seed
         del live
+
+
+def two_branch_payload(relations) -> dict:
+    """Branches a1 a2 and b1 b2 from 0 to w; relations as lists of (coeff, path)."""
+    return {
+        "vertices": ["0", "a", "b", "w"],
+        "arrows": [
+            {"name": "a1", "src": "0", "dst": "a"},
+            {"name": "a2", "src": "a", "dst": "w"},
+            {"name": "b1", "src": "0", "dst": "b"},
+            {"name": "b2", "src": "b", "dst": "w"},
+        ],
+        "relations": [[{"coeff": str(c), "path": p} for c, p in rel] for rel in relations],
+    }
+
+
+def random_invertible_2x2(seed: int) -> list:
+    rng = random.Random(seed)
+    pool = [Fraction(n, d) for n in (-3, -2, -1, 1, 2, 5) for d in (1, 2, 3)]
+    while True:
+        m = [[rng.choice(pool) for _ in range(2)] for _ in range(2)]
+        if m[0][0] * m[1][1] != m[0][1] * m[1][0]:
+            return m
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [[[1, -1], [1, 1]], random_invertible_2x2(7)],
+    ids=["sum-and-difference", "random-invertible"],
+)
+def test_recombined_monomials_report_as_monomials(capsys, tmp_path, matrix):
+    # two-term relations spanning the same space as a1a2 and b1b2 reduce to
+    # one-term rows, which are monomial tips
+    ab = (["a1", "a2"], ["b1", "b2"])
+    mixed = tmp_path / "mixed.json"
+    mixed.write_text(json.dumps(two_branch_payload([list(zip(row, ab)) for row in matrix])))
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps(two_branch_payload([[(1, ab[0])], [(1, ab[1])]])))
+    for command in _COMMAND_NAMES:
+        _, got = run_json(capsys, command, str(mixed))
+        _, want = run_json(capsys, command, str(plain))
+        assert (got["status"], got["result"]) == (want["status"], want["result"]), command
+    _, tips = run_json(capsys, "tips", str(mixed))
+    assert tips["result"]["nonmonomial"] == []
+
+
+json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64)
+    | st.floats()
+    | st.text()
+    | st.sampled_from(['"', "\\", "\x00\x1f\x7f\n\t", "\u00e9\u20ac\U0001d11e", "\ud834", ""])
+)
+json_trees = st.recursive(
+    json_leaves,
+    lambda kids: st.lists(kids)
+    | st.lists(st.text())
+    | st.dictionaries(st.text(), kids)
+    | st.dictionaries(st.integers(), kids, max_size=3)
+    | st.tuples(kids, kids),
+    max_leaves=40,
+)
+
+
+@given(json_trees)
+@settings(max_examples=300, deadline=None)
+def test_json_report_writer_matches_json_dumps(tree):
+    for value in (tree, {"result": tree, "status": [tree, {}]}):
+        assert render_report(value, "json") == json.dumps(value, indent=2, sort_keys=True) + "\n"
