@@ -10,7 +10,6 @@ from .presentation import (
     Quiver,
     branches_of,
     compose,
-    lincomb_mul,
     validate_toupie,
 )
 from .rewriting import GroebnerData, build_groebner, classify_branches, rref, special_basis
@@ -54,7 +53,6 @@ __all__ = [
     "Quiver",
     "branches_of",
     "compose",
-    "lincomb_mul",
     "validate_toupie",
     "GroebnerData",
     "build_groebner",

@@ -53,11 +53,13 @@ from .duality import (
     yoneda_presentation,
 )
 from .morse import BarSDR
-from .presentation import FormalSum, Presentation, Quiver, branches_of
+from .presentation import FormalSum, Path, Presentation, Quiver, branches_of
 from .random_presentations import random_presentation
 from .rewriting import build_groebner, classify_branches
 
 _RATIONAL = re.compile(r"^-?\d+(?:/[1-9]\d*)?$")
+_ARROW_KEYS = {"name", "src", "dst"}
+_TERM_KEYS = {"coeff", "path"}
 
 
 class InputError(Exception):
@@ -118,61 +120,76 @@ def parse_presentation(data, where: str = "input") -> Presentation:
     arrows = []
     seen = set()
     for i, item in enumerate(raw_arrows):
-        loc = f"{where}.arrows[{i}]"
-        _expect(isinstance(item, dict), "{}: expected an object", loc)
-        extra = sorted(set(item) - {"name", "src", "dst"})
-        _expect(not extra, "{}: unknown keys {}", loc, extra)
+        _expect(isinstance(item, dict), "{}.arrows[{}]: expected an object", where, i)
+        if item.keys() != _ARROW_KEYS:
+            extra = sorted(set(item) - _ARROW_KEYS)
+            _expect(not extra, "{}.arrows[{}]: unknown keys {}", where, i, extra)
         for key in ("name", "src", "dst"):
-            _expect(key in item, "{}: missing key {!r}", loc, key)
-            _expect(isinstance(item[key], str), "{}.{}: expected a string", loc, key)
-        for key in ("src", "dst"):
-            _expect(item[key] in vert_set, "{}.{}: unknown vertex {!r}", loc, key, item[key])
-        _expect(item["name"] not in seen, "{}.name: duplicate arrow name {!r}", loc, item["name"])
-        seen.add(item["name"])
-        arrows.append((item["name"], item["src"], item["dst"]))
+            if not isinstance(item.get(key), str):
+                _expect(key in item, "{}.arrows[{}]: missing key {!r}", where, i, key)
+                raise InputError(f"{where}.arrows[{i}].{key}: expected a string")
+        name, src, dst = item["name"], item["src"], item["dst"]
+        _expect(src in vert_set, "{}.arrows[{}].src: unknown vertex {!r}", where, i, src)
+        _expect(dst in vert_set, "{}.arrows[{}].dst: unknown vertex {!r}", where, i, dst)
+        _expect(name not in seen, "{}.arrows[{}].name: duplicate arrow name {!r}", where, i, name)
+        seen.add(name)
+        arrows.append((name, src, dst))
     quiver = Quiver(tuple(verts), tuple(arrows))
+    by_name = quiver.arrow_by_name
 
     raw_rels = data["relations"]
     _expect(isinstance(raw_rels, list), "{}.relations: expected a list", where)
     relations = []
     for i, terms in enumerate(raw_rels):
-        loc = f"{where}.relations[{i}]"
-        _expect(isinstance(terms, list) and terms, "{}: expected a nonempty list of terms", loc)
+        _expect(
+            isinstance(terms, list) and terms,
+            "{}.relations[{}]: expected a nonempty list of terms", where, i,
+        )
         rel = FormalSum()
         for j, term in enumerate(terms):
-            _expect(isinstance(term, dict), "{}[{}]: expected an object", loc, j)
-            extra = sorted(set(term) - {"coeff", "path"})
-            _expect(not extra, "{}[{}]: unknown keys {}", loc, j, extra)
-            for key in ("coeff", "path"):
-                _expect(key in term, "{}[{}]: missing key {!r}", loc, j, key)
+            _expect(isinstance(term, dict), "{}.relations[{}][{}]: expected an object", where, i, j)
+            if term.keys() != _TERM_KEYS:
+                extra = sorted(set(term) - _TERM_KEYS)
+                _expect(not extra, "{}.relations[{}][{}]: unknown keys {}", where, i, j, extra)
+                for key in ("coeff", "path"):
+                    _expect(key in term, "{}.relations[{}][{}]: missing key {!r}", where, i, j, key)
             coeff = term["coeff"]
             _expect(
                 isinstance(coeff, str) and _RATIONAL.match(coeff),
-                '{}[{}].coeff: expected an exact rational written "n" or "n/d"', loc, j,
+                '{}.relations[{}][{}].coeff: expected an exact rational written "n" or "n/d"',
+                where, i, j,
             )
             names = term["path"]
             _expect(
                 isinstance(names, list) and names,
-                "{}[{}].path: expected a nonempty list of arrow names", loc, j,
+                "{}.relations[{}][{}].path: expected a nonempty list of arrow names", where, i, j,
             )
-            for k, nm in enumerate(names):
-                _expect(isinstance(nm, str), "{}[{}].path[{}]: expected a string", loc, j, k)
-                _expect(
-                    nm in quiver.arrow_by_name, "{}[{}].path[{}]: unknown arrow {!r}", loc, j, k, nm
-                )
             try:
-                path = quiver.path(*names)
+                arrs = tuple([by_name[nm] for nm in names])
+                path = Path(arrs[0].src, arrs)
+            except (KeyError, TypeError):
+                for k, nm in enumerate(names):
+                    _expect(
+                        isinstance(nm, str),
+                        "{}.relations[{}][{}].path[{}]: expected a string", where, i, j, k,
+                    )
+                    _expect(
+                        nm in by_name,
+                        "{}.relations[{}][{}].path[{}]: unknown arrow {!r}", where, i, j, k, nm,
+                    )
+                raise  # not reached: a failed lookup fails one of the checks
             except ValueError as err:
-                raise InputError(f"{loc}[{j}].path: {err}") from err
-            rel.add_term(path, Fraction(coeff))
-        _expect(not rel.is_zero, "{}: terms cancel to zero", loc)
+                raise InputError(f"{where}.relations[{i}][{j}].path: {err}") from err
+            # `_RATIONAL` has checked the string, so both give the same exact rational
+            rel.add_term(path, Fraction(coeff) if "/" in coeff else int(coeff))
+        _expect(not rel.is_zero, "{}.relations[{}]: terms cancel to zero", where, i)
         relations.append(rel)
 
     order = data.get("order", [])
     _expect(isinstance(order, list), "{}.order: expected a list", where)
     for i, nm in enumerate(order):
         _expect(
-            isinstance(nm, str) and nm in quiver.arrow_by_name,
+            isinstance(nm, str) and nm in by_name,
             "{}.order[{}]: unknown arrow {!r}", where, i, nm,
         )
     return Presentation(quiver, tuple(relations), order=tuple(order))

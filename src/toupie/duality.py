@@ -7,6 +7,10 @@ on the opposite quiver and is presented by quadratic relations: the kernel of
 the product map on arrow duals.  Dualizing twice then recovers the associated
 graded algebra, which `gr_algebra` computes independently from the special
 basis of the relation matrix — `ideal_equal` checks the two agree.
+
+`ideal_equal` compares reduced data, not spans: under one branch order the
+minimal monomial tips and the reduced non-monomial rows determine the ideal,
+so two presentations are reduced under the first one's order and compared.
 """
 from __future__ import annotations
 
@@ -21,10 +25,9 @@ from .presentation import (
     Quiver,
     _term_key,
     branches_of,
-    lincomb_mul,
     qdiv,
 )
-from .rewriting import GroebnerData, build_groebner, rref
+from .rewriting import GroebnerData, _reduce, build_groebner, rref
 
 __all__ = [
     "GammaGraph",
@@ -248,48 +251,31 @@ def double_dual(pres: Presentation) -> Presentation:
     return Presentation(q, rels, tuple(n[:-2] for n in twice.order))
 
 
-def _ideal_rows(p) -> list:
-    """The full linear span of the ideal, reduced over the path basis.
+def _reduced_data(p: Presentation, order: tuple[str, ...]):
+    """The monomial tips and reduced non-monomial rows of p under `order`.
 
-    The quiver is acyclic so the ideal is the span of the finitely many
-    products path * relation * path; the reduced form is a canonical label
-    for it (columns ordered by path length, then lexicographically).
+    Unlike `build_groebner` this answers for linearly dependent relations too:
+    the reduced rows span them either way.
     """
-    q = p.quiver
-    paths = q.all_paths()
-    basis = sorted((x for x in paths if not x.is_trivial), key=Path.sort_key)
-    col = {x: j for j, x in enumerate(basis)}
-    into: dict = {}
-    outof: dict = {}
-    for x in paths:
-        into.setdefault(x.target, []).append(x)
-        outof.setdefault(x.source, []).append(x)
-    rows = set()
-    for rel in p.relations:
-        sources = {t.source for t in rel.terms}
-        targets = {t.target for t in rel.terms}
-        for left in (x for s in sorted(sources) for x in into.get(s, ())):
-            lr = lincomb_mul(FormalSum.lift(left), rel)
-            if lr.is_zero:
-                continue
-            for right in (y for t in sorted(targets) for y in outof.get(t, ())):
-                v = lincomb_mul(lr, FormalSum.lift(right))
-                if v.is_zero:
-                    continue
-                row = [Fraction(0)] * len(basis)
-                for pth, c in v.terms.items():
-                    row[col[pth]] = c
-                rows.add(tuple(row))
-    reduced, _ = rref(sorted(rows))
-    return reduced
+    if p.order != order:
+        p = Presentation(p.quiver, p.relations, order)
+    gd = p._groebner if p._groebner is not None else _reduce(p)[0]
+    return gd.mono_tips, gd.nonmono_rows
 
 
 def ideal_equal(p1: Presentation, p2: Presentation) -> bool:
     """Do two presentations of algebras on the same quiver cut the same ideal?
 
-    Raises when the quivers differ (ideal comparison needs a shared path basis).
+    Compares the reduced data of both under p1's branch order.  No combination
+    of reduced non-monomial rows is a single branch, so the paths in the ideal
+    are those in the ideal of the minimal monomial tips; and a nontrivial path
+    times a whole-branch relation is 0, so the ideal is that monomial ideal
+    plus the span of the reduced rows, in reduced row echelon form over the
+    ordered branches.  Raises when the quivers differ (ideal comparison needs
+    a shared path basis) or, as `build_groebner` does, when a relation is not
+    of branch form.
     """
     q1, q2 = p1.quiver, p2.quiver
     if q1.vertices != q2.vertices or q1.arrows != q2.arrows:
         raise ValueError("presentations live on different quivers")
-    return _ideal_rows(p1) == _ideal_rows(p2)
+    return _reduced_data(p1, p1.order) == _reduced_data(p2, p1.order)

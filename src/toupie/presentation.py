@@ -30,7 +30,6 @@ __all__ = [
     "Quiver",
     "Presentation",
     "compose",
-    "lincomb_mul",
     "validate_toupie",
     "branches_of",
 ]
@@ -271,16 +270,6 @@ class FormalSum:
         return " ".join(bits)
 
 
-def lincomb_mul(a: FormalSum, b: FormalSum) -> FormalSum:
-    """Product in the path algebra: bilinear, non-composable pairs multiply to 0."""
-    out = FormalSum()
-    for p, cp in a.terms.items():
-        for q, cq in b.terms.items():
-            if p.target == q.source:
-                out.add_term(compose(p, q), cp * cq)
-    return out
-
-
 class Quiver:
     """Finite quiver with named vertices and arrows; lookups precomputed."""
 
@@ -314,22 +303,6 @@ class Quiver:
     def path(self, *arrow_names: str) -> Path:
         arrows = tuple(self.arrow_by_name[n] for n in arrow_names)
         return Path(arrows[0].src, arrows)
-
-    def all_paths(self):
-        """Every path of the quiver, trivial ones included (finite: quiver acyclic)."""
-        out = [Path(v, ()) for v in self.vertices]
-        frontier = [Path(v, ()) for v in self.vertices]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for a in self.out[p.target]:
-                    q = Path(p.source, p.arrows + (a,))
-                    out.append(q)
-                    nxt.append(q)
-            frontier = nxt
-            if len(out) > 200000:
-                raise ValueError("quiver has too many paths (is it acyclic?)")
-        return out
 
 
 def validate_toupie(q: Quiver):

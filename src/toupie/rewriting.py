@@ -34,6 +34,9 @@ __all__ = [
 ]
 
 
+_ZERO = Fraction(0)  # shared by every zero entry returned
+
+
 def _integer_row(row):
     """(integer vector, positive common denominator) whose quotient is `row`."""
     xs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
@@ -73,7 +76,7 @@ def rref(rows):
         r += 1
         if r == len(m):
             break
-    return [[Fraction(a, row[c]) for a in row] for row, c in zip(m, pivots)], pivots
+    return [[Fraction(a, row[c]) if a else _ZERO for a in row] for row, c in zip(m, pivots)], pivots
 
 
 def special_basis(rows):
@@ -110,7 +113,7 @@ def special_basis(rows):
                     v, d = [-a for a in v], -d
                 g = gcd(d, *v)
                 m[j] = [a // g for a in v], d // g
-    return [[Fraction(a, d) for a in v] for v, d in m]
+    return [[Fraction(a, d) if a else _ZERO for a in v] for v, d in m]
 
 
 def _split_relations(pres: Presentation):
@@ -177,9 +180,11 @@ class TipIdeal:
 class GroebnerData:
     """Tips, tails and the nontip basis of a presentation."""
 
-    def __init__(self, pres, mono_tips, nonmono_rows, branch_order, matrix):
-        self.pres = pres
-        self.quiver = pres.quiver
+    def __init__(self, quiver, order_key, mono_tips, nonmono_rows, branch_order, matrix):
+        self.quiver = quiver
+        # the presentation's branch order key; the presentation itself is not
+        # kept, as it holds this data (no reference cycle)
+        self.order_key = order_key
         self.mono_tips: tuple[Path, ...] = tuple(sorted(mono_tips, key=Path.sort_key))
         # each row: (tip branch, full relation with tip coefficient 1)
         self.nonmono_rows: tuple[tuple[Path, FormalSum], ...] = tuple(nonmono_rows)
@@ -269,20 +274,32 @@ class GroebnerData:
 
 
 def build_groebner(pres: Presentation) -> GroebnerData:
-    """Reduce the relations to tip/tail form.
+    """Reduce the relations to tip/tail form (see `_reduce`).
+
+    Every non-monomial relation must contribute a pivot, otherwise the input
+    was dependent and this raises.  The result is stored on `pres`, so the
+    reduction runs once per presentation however often this is asked.
+    """
+    if pres._groebner is None:
+        gd, independent = _reduce(pres)
+        if not independent:
+            raise ValueError("duplicate relations: non-monomial relations are linearly dependent")
+        object.__setattr__(pres, "_groebner", gd)  # Presentation is frozen
+    return pres._groebner
+
+
+def _reduce(pres: Presentation) -> tuple[GroebnerData, bool]:
+    """The reduced data of `pres`, and whether every non-monomial relation
+    contributed a pivot (the relations were linearly independent).
 
     Non-monomial relations are first reduced modulo the monomial ones: branch
     terms containing a monomial tip are dropped, and a relation left with a
     single term turns that branch into a new monomial relation (repeat until
-    stable).  The survivors are row-reduced over the ordered branches; every
-    relation must contribute a pivot, otherwise the input was dependent, and a
+    stable).  The survivors are row-reduced over the ordered branches, and a
     reduced row left with a single term makes its branch a monomial tip too.
-
-    The result is stored on `pres`, so the reduction runs once per
-    presentation however often this is asked.
+    The data is canonical for the ideal and the branch order: the minimal
+    monomial tips, and the reduced rows over the branches they leave.
     """
-    if pres._groebner is not None:
-        return pres._groebner
     mono, nonmono = _split_relations(pres)
 
     # reduced monomial set: shortest first, drop any monomial containing a kept one
@@ -319,13 +336,12 @@ def build_groebner(pres: Presentation) -> GroebnerData:
     col = {b: j for j, b in enumerate(involved)}
     rows = []
     for rel in pending:
-        row = [Fraction(0)] * len(involved)
+        row = [0] * len(involved)
         for p, c in rel.terms.items():
             row[col[p]] = c
         rows.append(row)
     reduced, pivots = rref(rows)
-    if len(reduced) != len(rows):
-        raise ValueError("duplicate relations: non-monomial relations are linearly dependent")
+    independent = len(reduced) == len(rows)
     # a reduced row with one term is a whole branch in the ideal: a monomial tip.
     # No other row uses its pivot column, so the column goes with it.
     single = {c for row, c in zip(reduced, pivots) if sum(map(bool, row)) == 1}
@@ -342,9 +358,7 @@ def build_groebner(pres: Presentation) -> GroebnerData:
     for row, pc in zip(reduced, pivots):
         rel = FormalSum({involved[j]: c for j, c in enumerate(row) if c})
         nonmono_rows.append((involved[pc], rel))
-    gd = GroebnerData(pres, mono_tips, nonmono_rows, involved, reduced)
-    object.__setattr__(pres, "_groebner", gd)  # Presentation is frozen
-    return gd
+    return GroebnerData(pres.quiver, key, mono_tips, nonmono_rows, involved, reduced), independent
 
 
 def classify_branches(gd: GroebnerData) -> dict:
@@ -359,7 +373,7 @@ def classify_branches(gd: GroebnerData) -> dict:
     """
     in_nonmono = {b for _, rel in gd.nonmono_rows for b in rel.terms}
     out = {}
-    for b in sorted(branches_of(gd.quiver), key=gd.pres.branch_order_key()):
+    for b in sorted(branches_of(gd.quiver), key=gd.order_key):
         if len(b) == 1:
             out[b] = "arrow"
         elif b in in_nonmono:

@@ -1,11 +1,13 @@
 """Shared fixtures: the two algebras every other test file leans on."""
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import strategies as st
 
 from toupie.chains import underlying_path
-from toupie.presentation import FormalSum, Path, Presentation, Quiver
+from toupie.presentation import FormalSum, Path, Presentation, Quiver, compose
 
 
 def three_branch_presentation() -> Presentation:
@@ -114,6 +116,72 @@ def occurs(p: Path, sub: Path) -> bool:
         return sub.source == p.source or any(a.dst == sub.source for a in p.arrows)
     m = len(sub.arrows)
     return any(p.arrows[i : i + m] == sub.arrows for i in range(len(p.arrows) - m + 1))
+
+
+def all_paths(q: Quiver) -> list[Path]:
+    """Every path of the quiver, trivial ones included, shortest first
+    (finite: a toupie quiver is acyclic)."""
+    out = frontier = [Path(v, ()) for v in q.vertices]
+    while frontier:
+        frontier = [Path(p.source, p.arrows + (a,)) for p in frontier for a in q.out[p.target]]
+        out = out + frontier
+    return out
+
+
+def lincomb_mul(a: FormalSum, b: FormalSum) -> FormalSum:
+    """Product in the path algebra: bilinear, non-composable pairs multiply to 0."""
+    out = FormalSum()
+    for p, cp in a.terms.items():
+        for q, cq in b.terms.items():
+            if p.target == q.source:
+                out.add_term(compose(p, q), cp * cq)
+    return out
+
+
+def fraction_rref(rows: list) -> list:
+    """Reduced row echelon form by plain Gauss-Jordan over `Fraction`, zero rows dropped."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        r += 1
+    return m[:r]
+
+
+def ideal_rows(p: Presentation) -> list:
+    """Oracle for `ideal_equal`: the full linear span of the ideal, reduced
+    over the path basis.
+
+    The quiver is acyclic, so the ideal is the span of the finitely many
+    products path * relation * path; the reduced form is a canonical label
+    for it (columns ordered by path length, then lexicographically).
+    """
+    paths = all_paths(p.quiver)
+    basis = sorted((x for x in paths if not x.is_trivial), key=Path.sort_key)
+    col = {x: j for j, x in enumerate(basis)}
+    rows = set()
+    for rel in p.relations:
+        for left in paths:
+            lr = lincomb_mul(FormalSum.lift(left), rel)
+            if lr.is_zero:
+                continue
+            for right in paths:
+                v = lincomb_mul(lr, FormalSum.lift(right))
+                if v.is_zero:
+                    continue
+                row = [0] * len(basis)
+                for pth, c in v.terms.items():
+                    row[col[pth]] = c
+                rows.add(tuple(row))
+    return fraction_rref(sorted(rows))
 
 
 def composable_tuples(ext, arity: int) -> list[tuple]:

@@ -11,6 +11,7 @@ from toupie.presentation import Path, compose
 from toupie.random_presentations import random_presentation
 from toupie.rewriting import build_groebner
 from tests.conftest import (
+    all_paths,
     lines_presentation,
     monomial_presentations,
     occurs,
@@ -175,7 +176,7 @@ def brute_force_chains(gd, max_degree):
 
 def assert_chains_are_brute_force(pres):
     cg = ChainGraph(build_groebner(pres))
-    paths = pres.quiver.all_paths()
+    paths = all_paths(pres.quiver)
     # a d-chain has at least d + 1 arrows, so these layers are all of them
     layers = brute_force_chains(cg.gd, max(len(p) for p in paths))
     assert layers[-1] == []

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import toupie.presentation
 import toupie.rewriting
-from tests.conftest import overlap_monomial_presentation, three_branch_presentation
+from tests.conftest import all_paths, overlap_monomial_presentation, three_branch_presentation
 from toupie.cli import (
     _COMMAND_NAMES,
     main,
@@ -244,36 +244,145 @@ def test_schema_error_reports_path(capsys, tmp_path):
 
 
 _TWO_ARROWS = [{"name": "a", "src": "0", "dst": "m"}, {"name": "b", "src": "m", "dst": "w"}]
+_B = _TWO_ARROWS[1]
+_DROP = object()
+
+
+def _doc(**fields) -> dict:
+    """The document 0 -a-> m -b-> w with no relations, top-level fields
+    replaced by `fields` (dropped where the value is `_DROP`)."""
+    data = {"vertices": ["0", "m", "w"], "arrows": _TWO_ARROWS, "relations": []}
+    data.update(fields)
+    return {k: v for k, v in data.items() if v is not _DROP}
+
+
+def _second_arrow(item) -> dict:
+    return _doc(arrows=[_TWO_ARROWS[0], item])
+
+
+def _second_relation(*terms) -> dict:
+    """A valid relation a*b, then one with the given terms."""
+    return _doc(relations=[[{"coeff": "1", "path": ["a", "b"]}], list(terms)])
+
+
+_NOT_RATIONAL = '.relations[1][0].coeff: expected an exact rational written "n" or "n/d"'
+
+# one case per check in `parse_presentation`, with its exact message after the
+# input file name
+_SCHEMA_ERRORS = {
+    "not-object": ([1], ": expected a JSON object"),
+    "unknown-top-key": (_doc(colour=1), ": unknown keys ['colour']"),
+    "missing-vertices": (_doc(vertices=_DROP), ": missing key 'vertices'"),
+    "missing-arrows": (_doc(arrows=_DROP), ": missing key 'arrows'"),
+    "missing-relations": (_doc(relations=_DROP), ": missing key 'relations'"),
+    "vertices-empty": (_doc(vertices=[]), ".vertices: expected a nonempty list"),
+    "vertex-not-string": (_doc(vertices=["0", 1, "w"]), ".vertices[1]: expected a string"),
+    "vertices-duplicate": (_doc(vertices=["0", "m", "m"]), ".vertices: duplicate vertex names"),
+    "arrows-not-list": (_doc(arrows={}), ".arrows: expected a list"),
+    "arrow-not-object": (_second_arrow("b"), ".arrows[1]: expected an object"),
+    "arrow-unknown-keys": (
+        _second_arrow({**_B, "colour": "red", "alpha": 1}),
+        ".arrows[1]: unknown keys ['alpha', 'colour']",
+    ),
+    "arrow-missing-key": (_second_arrow({"name": "b", "dst": "w"}), ".arrows[1]: missing key 'src'"),
+    "arrow-name-not-string": (_second_arrow({**_B, "name": 2}), ".arrows[1].name: expected a string"),
+    "arrow-src-not-string": (_second_arrow({**_B, "src": None}), ".arrows[1].src: expected a string"),
+    "arrow-dst-not-string": (_second_arrow({**_B, "dst": ["w"]}), ".arrows[1].dst: expected a string"),
+    # the keys are checked in order, each for presence and then for type
+    "arrow-bad-name-and-missing-src": (
+        _second_arrow({"name": 5, "dst": "w"}), ".arrows[1].name: expected a string"
+    ),
+    "unknown-vertex": (_second_arrow({**_B, "dst": "v"}), ".arrows[1].dst: unknown vertex 'v'"),
+    "unknown-src-vertex": (_second_arrow({**_B, "src": "v"}), ".arrows[1].src: unknown vertex 'v'"),
+    "duplicate-arrow": (
+        _second_arrow({**_B, "name": "a"}), ".arrows[1].name: duplicate arrow name 'a'"
+    ),
+    "relations-not-list": (_doc(relations={}), ".relations: expected a list"),
+    "relation-not-list": (
+        _doc(relations=[{"coeff": "1", "path": ["a"]}]),
+        ".relations[0]: expected a nonempty list of terms",
+    ),
+    "relation-empty": (_second_relation(), ".relations[1]: expected a nonempty list of terms"),
+    "term-not-object": (_second_relation("1"), ".relations[1][0]: expected an object"),
+    "term-unknown-keys": (
+        _second_relation({"coeff": "1", "path": ["a"], "z": 0, "y": 1}),
+        ".relations[1][0]: unknown keys ['y', 'z']",
+    ),
+    "term-missing-coeff": (
+        _second_relation({"path": ["a"]}), ".relations[1][0]: missing key 'coeff'"
+    ),
+    "term-missing-path": (_second_relation({"coeff": "1"}), ".relations[1][0]: missing key 'path'"),
+    "coeff-not-string": (_second_relation({"coeff": 1, "path": ["a"]}), _NOT_RATIONAL),
+    "coeff-decimal": (_second_relation({"coeff": "0.5", "path": ["a"]}), _NOT_RATIONAL),
+    "coeff-zero-denominator": (_second_relation({"coeff": "1/0", "path": ["a"]}), _NOT_RATIONAL),
+    "path-empty": (
+        _second_relation({"coeff": "1", "path": []}),
+        ".relations[1][0].path: expected a nonempty list of arrow names",
+    ),
+    "path-not-list": (
+        _second_relation({"coeff": "1", "path": "ab"}),
+        ".relations[1][0].path: expected a nonempty list of arrow names",
+    ),
+    "path-element-not-string": (
+        _second_relation({"coeff": "1", "path": ["a", 3]}),
+        ".relations[1][0].path[1]: expected a string",
+    ),
+    "path-element-unhashable": (
+        _second_relation({"coeff": "1", "path": ["a", ["b"]]}),
+        ".relations[1][0].path[1]: expected a string",
+    ),
+    "unknown-arrow-in-path": (
+        _second_relation({"coeff": "1", "path": ["a", "c"]}),
+        ".relations[1][0].path[1]: unknown arrow 'c'",
+    ),
+    "path-not-composable": (
+        _second_relation({"coeff": "1", "path": ["b", "a"]}),
+        ".relations[1][0].path: arrows do not compose at 'w': Arrow(name='a', src='0', dst='m')",
+    ),
+    "terms-cancel": (
+        _second_relation({"coeff": "1", "path": ["a"]}, {"coeff": "-1", "path": ["a"]}),
+        ".relations[1]: terms cancel to zero",
+    ),
+    "order-not-list": (_doc(order="a"), ".order: expected a list"),
+    "order-unknown-arrow": (_doc(order=["a", "c"]), ".order[1]: unknown arrow 'c'"),
+    "order-not-string": (_doc(order=[["a"]]), ".order[0]: unknown arrow ['a']"),
+}
 
 
 @pytest.mark.parametrize(
-    "arrows, relations, message",
-    [
-        (
-            [{"name": "a", "src": "0", "dst": "m"}, {"name": "b", "src": "m", "dst": "v"}],
-            [],
-            "arrows[1].dst: unknown vertex 'v'",
-        ),
-        (
-            [{"name": "a", "src": "0", "dst": "m"}, {"name": "a", "src": "m", "dst": "w"}],
-            [],
-            "arrows[1].name: duplicate arrow name 'a'",
-        ),
-        (
-            _TWO_ARROWS,
-            [[{"coeff": "1", "path": ["a", "b"]}], [{"coeff": "1", "path": ["a", "c"]}]],
-            "relations[1][0].path[1]: unknown arrow 'c'",
-        ),
-    ],
-    ids=["unknown-vertex", "duplicate-arrow", "unknown-arrow-in-path"],
+    "data, message", list(_SCHEMA_ERRORS.values()), ids=list(_SCHEMA_ERRORS)
 )
-def test_schema_error_messages(capsys, tmp_path, arrows, relations, message):
+def test_schema_error_messages(capsys, tmp_path, data, message):
     path = tmp_path / "bad.json"
-    data = {"vertices": ["0", "m", "w"], "arrows": arrows, "relations": relations}
     path.write_text(json.dumps(data))
     code, out, err = run_cli(capsys, "validate", str(path))
     assert code == 2 and out == ""
-    assert err == f"toupie: error: {path}.{message}\n"
+    assert err == f"toupie: error: {path}{message}\n"
+
+
+@pytest.mark.parametrize(
+    "coeff, reported",
+    [("4/2", "2"), ("-3/6", "-1/2"), ("007", "7"), ("-0", None)],
+    ids=["integral-fraction", "unreduced-fraction", "leading-zeros", "negative-zero"],
+)
+def test_coefficients_are_exact_rationals(capsys, tmp_path, coeff, reported):
+    path = tmp_path / "coeff.json"
+    path.write_text(json.dumps(two_branch_payload([[(1, ["a1", "a2"]), (coeff, ["b1", "b2"])]])))
+    code, report = run_json(capsys, "tips", str(path))
+    assert code == 0
+    if reported is None:  # a zero coefficient drops its term: a monomial relation
+        assert report["result"]["monomial"] == [["a1", "a2"]]
+        assert report["result"]["nonmonomial"] == []
+    else:
+        assert report["result"]["nonmonomial"] == [
+            {
+                "tip": ["a1", "a2"],
+                "relation": [
+                    {"coeff": "1", "path": ["a1", "a2"]},
+                    {"coeff": reported, "path": ["b1", "b2"]},
+                ],
+            }
+        ]
 
 
 def test_usage_errors(capsys, e1_path):
@@ -468,7 +577,7 @@ def test_reports_do_not_depend_on_the_intern_table(capsys, monkeypatch, tmp_path
     other = write_input(tmp_path, overlap_monomial_presentation(), "other.json")
     for command in _COMMAND_NAMES:
         run_cli(capsys, command, other)
-    specs = [(p.source, p.arrows) for p in three_branch_presentation().quiver.all_paths()]
+    specs = [(p.source, p.arrows) for p in all_paths(three_branch_presentation().quiver)]
     for seed in range(8):
         gc.collect()
         random.Random(seed).shuffle(specs)

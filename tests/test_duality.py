@@ -1,10 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import single_chain_presentation
+import toupie.duality
+import toupie.rewriting
+from tests.conftest import fraction_rref, ideal_rows, lines_presentation, single_chain_presentation
 from toupie.ainf import ExtAlgebra, TorCoalgebra
 from toupie.duality import (
     HypothesesError,
@@ -17,7 +20,7 @@ from toupie.duality import (
     quadratic_blocks,
     yoneda_presentation,
 )
-from toupie.presentation import FormalSum, Presentation, Quiver
+from toupie.presentation import FormalSum, Presentation, Quiver, branches_of
 from toupie.random_presentations import fixed_violators, random_presentation
 from toupie.rewriting import build_groebner
 
@@ -223,11 +226,104 @@ def test_ideal_equal_frozen_examples(three_branch):
     )
     scaled = Presentation(q, tuple(r.scale(3) for r in mixed.relations))
     assert ideal_equal(mixed, scaled)
+    assert not ideal_equal(
+        Presentation(q, (FormalSum({b12: 1, c12: -1}),)),
+        Presentation(q, (FormalSum({b12: 1, c12: -2}),)),
+    )
 
 
 def test_ideal_equal_requires_same_quiver(three_branch, overlap_monomial):
     with pytest.raises(ValueError):
         ideal_equal(three_branch, overlap_monomial)
+
+
+def _invertible(n: int, rng: random.Random) -> list:
+    pool = [Fraction(a, b) for a in (-3, -2, -1, 0, 1, 2, 5) for b in (1, 2, 3)]
+    while True:
+        m = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
+        if len(fraction_rref(m)) == n:
+            return m
+
+
+def _same_ideal_variants(p: Presentation, rng: random.Random) -> dict:
+    """Presentations of the ideal of p written differently."""
+    q, rels = p.quiver, list(p.relations)
+    k = rng.randrange(len(rels))
+    shuffled = rng.sample(rels, len(rels))
+    names = [b.arrows[0].name for b in branches_of(q)]
+    mono = [r for r in rels if len(r.terms) == 1]
+    nonmono = [r for r in rels if len(r.terms) > 1]
+    mixed = []
+    for row in _invertible(len(nonmono), rng):
+        rel = FormalSum()
+        for c, r in zip(row, nonmono):
+            rel.add_scaled(r, c)
+        mixed.append(rel)
+    scale = rng.choice([Fraction(-3, 2), Fraction(2, 7), -1, 5])
+    return {
+        "permuted-reversed": Presentation(q, tuple(shuffled), tuple(reversed(names))),
+        "recombined": Presentation(q, tuple(mono + mixed), p.order),
+        "scaled": Presentation(q, tuple(r.scale(scale) if i == k else r for i, r in enumerate(rels)), p.order),
+        "duplicated": Presentation(q, tuple(rels + [rels[k]]), p.order),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 300))
+def test_ideal_equal_matches_span_oracle(seed):
+    p = random_presentation(seed)
+    rng = random.Random(seed)
+    k = rng.randrange(len(p.relations))
+    others = {
+        "gr": gr_algebra(p),
+        "dropped": Presentation(p.quiver, p.relations[:k] + p.relations[k + 1 :], p.order),
+    }
+    rel = p.relations[k]
+    if len(rel.terms) > 1:  # the same branches, one coefficient changed
+        b, c = next(iter(rel.terms.items()))
+        changed = rel + FormalSum.lift(b, c)
+        others["reweighted"] = Presentation(
+            p.quiver, p.relations[:k] + (changed,) + p.relations[k + 1 :], p.order
+        )
+    if hypotheses_check(build_groebner(p)):
+        others["double-dual"] = double_dual(p)
+    same = _same_ideal_variants(p, rng)
+    want = ideal_rows(p)
+    for label, c in {**others, **same}.items():
+        expected = ideal_rows(c) == want
+        assert ideal_equal(p, c) == expected, label
+        assert ideal_equal(c, p) == expected, label
+        if label in same:
+            assert expected, label
+
+
+def test_ideal_equal_answers_for_dependent_relations(three_branch):
+    q = three_branch.quiver
+    twice = Presentation(q, three_branch.relations * 2, three_branch.order)
+    with pytest.raises(ValueError, match="duplicate relations"):
+        build_groebner(twice)
+    assert ideal_equal(twice, three_branch) and ideal_equal(three_branch, twice)
+    rel1, rel2 = three_branch.relations
+    assert ideal_equal(Presentation(q, (rel1, rel2, rel1 - rel2)), three_branch)
+    assert not ideal_equal(Presentation(q, (rel1, rel1.scale(2))), three_branch)
+
+
+def test_ideal_equal_row_reduces_only_the_relations(monkeypatch):
+    # line(30,2): spanning path x relation x path would row-reduce thousands
+    # of rows; the reduced data needs no more rows than there are relations
+    p = lines_presentation(1, 30, 2)
+    dd, gr = double_dual(p), gr_algebra(p)
+    sizes = []
+    real = toupie.rewriting.rref
+
+    def counting_rref(rows):
+        sizes.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(toupie.rewriting, "rref", counting_rref)
+    monkeypatch.setattr(toupie.duality, "rref", counting_rref)
+    assert ideal_equal(dd, gr)
+    assert sizes and max(sizes) <= min(len(dd.relations), len(gr.relations))
 
 
 @settings(max_examples=10, deadline=None)

@@ -21,7 +21,6 @@ from toupie.presentation import (
     Quiver,
     branches_of,
     compose,
-    lincomb_mul,
     qdiv,
     validate_toupie,
 )
@@ -32,7 +31,7 @@ from toupie.duality import gr_algebra
 from toupie.morse import bar_words, classify_word
 from toupie.rewriting import build_groebner, classify_branches
 from toupie.zigzag import BasedComplex
-from tests.conftest import occurs, three_branch_presentation
+from tests.conftest import lincomb_mul, occurs, three_branch_presentation
 
 
 def test_path_compose_and_slice(three_branch):

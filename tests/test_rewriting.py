@@ -1,6 +1,8 @@
 """Row reduction, the special column sweep, tips and normal forms."""
 from __future__ import annotations
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -10,8 +12,9 @@ from hypothesis import strategies as st
 
 from toupie.presentation import FormalSum, Path, Presentation, Quiver, compose
 from toupie.random_presentations import random_presentation
-from toupie.rewriting import build_groebner, rref, special_basis
+from toupie.rewriting import build_groebner, classify_branches, rref, special_basis
 from tests.conftest import (
+    all_paths,
     lines_presentation,
     monomial_presentations,
     occurs,
@@ -160,7 +163,7 @@ def test_tips_monomial(overlap_monomial):
 def ideal_span_dim(pres):
     """dim kQ/I by plain linear algebra: count paths, subtract the rank of {p*rel*q}."""
     q = pres.quiver
-    paths = q.all_paths()
+    paths = all_paths(q)
     index = {p: i for i, p in enumerate(paths)}
     rows = []
     for rel in pres.relations:
@@ -259,7 +262,7 @@ def test_tail_of(three_branch):
 def assert_tip_ideal_is_brute_force(pres):
     gd = build_groebner(pres)
     ideal = gd.tip_ideal
-    paths = pres.quiver.all_paths()
+    paths = all_paths(pres.quiver)
     in_ideal = {p: any(occurs(p, t) for t in gd.tips) for p in paths}
     for p in paths:
         assert (p in ideal) == in_ideal[p], p
@@ -333,3 +336,19 @@ def test_dim_counts_the_nontip_basis_without_building_it(pres):
     # the count reads the tip ideal only: the nontip paths stay unbuilt
     assert getattr(gd, "_nontips", None) is None
     assert dim == len(gd.nontips)
+
+
+def test_groebner_data_is_freed_without_the_cyclic_collector():
+    # the data is stored on its presentation but does not point back to it,
+    # so dropping both frees the data by reference counting alone
+    pres = three_branch_presentation()
+    gc.disable()
+    try:
+        gd = build_groebner(pres)
+        gd.normal_form(pres.quiver.path("a1", "a2", "a3"))
+        assert gd.special_rows and classify_branches(gd)
+        ref = weakref.ref(gd)
+        del pres, gd
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -33,3 +33,12 @@ def test_stasheff_defects_match_tuple_oracle_line_20_2_arity_5():
     table[2][key] = table[2][key].scale(-1)
     got = stasheff_algebra_defects(table, chains, 5)
     assert got and got == stasheff_algebra_defects_by_tuples(table, tuples, 5)
+
+
+def test_double_dual_line_30_2(capsys, tmp_path):
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps(presentation_payload(lines_presentation(1, 30, 2))))
+    assert main(["double-dual", str(path), "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "ok"
+    assert report["result"]["matches_gr"] is True
