@@ -42,14 +42,12 @@ class TorCoalgebra:
 
     Output keys are n-tuples of chain words.  `transfer_delta` is the zigzag
     evaluation; `closed_delta` the direct cut formula.  The two agree on every
-    chain (see the test suite), which is the point of having both.  `top`
-    truncates the bar complex (see `BarSDR`); the transfer of a chain word
-    of degree d needs `top` > d.
+    chain (see the test suite), which is the point of having both.
     """
 
-    def __init__(self, gd: GroebnerData, top: int | None = None):
+    def __init__(self, gd: GroebnerData):
         self.gd = gd
-        self.sdr = BarSDR(gd, top)
+        self.sdr = BarSDR(gd)
         self.cg: ChainGraph = self.sdr.cg
         self._bar_memo: dict = {}
         self._transfer_memo: dict = {}
@@ -105,10 +103,6 @@ class TorCoalgebra:
         got = self._transfer_memo.get(key)
         if got is not None:
             return got
-        top = self.sdr.top
-        if top is not None and len(chain) >= top:
-            # i, h and p on a word of degree d read cells of degree d + 1
-            raise ValueError(f"chain of degree {len(chain)} needs cells past the top degree {top}")
         out = FormalSum()
         if n >= 2:
             cx = self.sdr.complex

@@ -10,7 +10,7 @@ computed by the same projection recursion, now transporting the decorations.
 from __future__ import annotations
 
 from .chains import ChainGraph
-from .morse import bar_differential, classify_word
+from .morse import bar_differential, build_matching
 from .presentation import FormalSum, Path, compose, qdiv
 from .rewriting import GroebnerData
 
@@ -27,6 +27,7 @@ class AnickResolution:
     def __init__(self, gd: GroebnerData):
         self.gd = gd
         self.cg = ChainGraph(gd)
+        self._match = build_matching(self.cg)
         self._status: dict = {}
         self._p_cache: dict = {}
         self._diff_cache: dict = {}
@@ -69,11 +70,7 @@ class AnickResolution:
     def _classify(self, cell):
         got = self._status.get(cell)
         if got is None:
-            if isinstance(cell, Path):
-                got = ("critical", None)
-            else:
-                got = classify_word(self.cg, cell)
-            self._status[cell] = got
+            got = self._status[cell] = self._match(cell)
         return got
 
     def p(self, cell) -> FormalSum:

@@ -377,7 +377,7 @@ def cmd_resolution_check(job: JobSpec, pres: Presentation):
 
 def cmd_sdr_check(job: JobSpec, pres: Presentation):
     gd = build_groebner(pres)
-    bad = BarSDR(gd, job.degree + 1).verify(job.degree)
+    bad = BarSDR(gd).verify(job.degree)
     return ("ok" if not bad else "violation"), {
         "max_degree": job.degree,
         "violations": bad,
@@ -501,10 +501,7 @@ def cmd_oracle_diff(job: JobSpec, pres: Presentation):
     gd = build_groebner(pres)
     result, clean = {}, True
     for label, g in _subjects(job, gd):
-        # transfer_delta reads one degree past the longest chain word (degree
-        # max_chain_degree + 1), verify one past job.degree
-        chain_top = ChainGraph(g).max_chain_degree() + 1
-        tor = TorCoalgebra(g, max(job.degree, chain_top) + 1)
+        tor = TorCoalgebra(g)
         chains = tor.all_chains()
         mismatches = []
         for n in range(2, job.arity + 1):

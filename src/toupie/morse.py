@@ -25,8 +25,8 @@ def _word_key(word):
     return (len(names), word[0].source, names), tuple(len(p) for p in word)
 
 
-def bar_words(gd: GroebnerData, top: int | None = None) -> dict[int, list]:
-    """Stacked-word cells by degree, up to degree `top` >= 1 (all of them when
+def bar_words(gd: GroebnerData, max_degree: int | None = None) -> dict[int, list]:
+    """Stacked-word cells by degree, up to `max_degree` (all of them when
     None); degree 0 holds the vertices as trivial paths."""
     starting_at: dict = {}
     for ps in gd.nontips_by_degree.values():
@@ -36,9 +36,9 @@ def bar_words(gd: GroebnerData, top: int | None = None) -> dict[int, list]:
     by_deg: dict[int, list] = {0: [Path(v, ()) for v in gd.quiver.vertices]}
     layer = [(p,) for ps in starting_at.values() for p in ps]
     d = 1
-    while layer:
+    while layer and (max_degree is None or d <= max_degree):
         by_deg[d] = sorted(layer, key=_word_key)
-        if d == top:
+        if d == max_degree:
             break
         layer = [w + (p,) for w in layer for p in starting_at.get(w[-1].target, ())]
         d += 1
@@ -83,37 +83,27 @@ def classify_word(cg: ChainGraph, word):
     return "lower", split
 
 
-def build_matching(cg: ChainGraph, cells_by_degree) -> dict:
-    """{lower word: split partner} over every degree but 0 and the highest one.
+def build_matching(cg: ChainGraph):
+    """The chain matching as a function of a cell: a vertex is critical, a
+    word goes to `classify_word`."""
 
-    A word of the highest degree built has its split partner one degree up,
-    past the cells: on a truncated complex it stays unmatched (and looks
-    critical), on a full one no such word is lower anyway.
-    """
-    matching = {}
-    top = max(cells_by_degree)
-    for d, cells in cells_by_degree.items():
-        if d == 0 or d == top:
-            continue
-        for w in cells:
-            st, partner = classify_word(cg, w)
-            if st == "lower":
-                matching[w] = partner
-    return matching
+    def match(cell):
+        if isinstance(cell, Path):
+            return "critical", None
+        return classify_word(cg, cell)
+
+    return match
+
+
+def _cell_degree(cell) -> int:
+    return 0 if isinstance(cell, Path) else len(cell)
 
 
 class BarSDR:
-    """Closed transfer maps on the reduced bar complex, checked against the zigzag oracle.
+    """Closed transfer maps on the reduced bar complex, checked against the zigzag oracle."""
 
-    With `top`, the complex stops at degree `top`.  The matching is local, so
-    p, i and h on cells of degree d only read degrees d and d + 1: below
-    `top` they equal the full complex's; at `top` the lower words have no
-    partner and look critical, so there they do not.
-    """
-
-    def __init__(self, gd: GroebnerData, top: int | None = None):
+    def __init__(self, gd: GroebnerData):
         self.gd = gd
-        self.top = top
         self.cg = ChainGraph(gd)
         self._cx: BasedComplex | None = None
 
@@ -122,11 +112,9 @@ class BarSDR:
         if self._cx is None:
             # the differential closes over gd, not self: no BarSDR <-> complex cycle,
             # so a finished job frees its bar complex without the cyclic collector
-            gd, cells = self.gd, bar_words(self.gd, self.top)
+            gd = self.gd
             self._cx = BasedComplex(
-                cells,
-                lambda w: bar_differential(gd, w),
-                build_matching(self.cg, cells),
+                lambda w: bar_differential(gd, w), build_matching(self.cg), _cell_degree
             )
         return self._cx
 
@@ -204,26 +192,19 @@ class BarSDR:
     # -- verification ------------------------------------------------------------
 
     def verify(self, max_degree: int | None = None) -> list[str]:
-        """Oracle identities plus closed-vs-oracle agreement on cells of degree
-        <= `max_degree` (all when None); returns violations.
-
-        Raises ValueError when the check would read the truncated top degree.
-        """
-        if self.top is not None and (max_degree is None or max_degree >= self.top):
-            raise ValueError(f"degree {max_degree} check needs cells past the top degree {self.top}")
+        """Oracle identities plus closed-vs-oracle agreement on the cells of
+        degree <= `max_degree` (all when None); returns violations."""
+        cells = [w for ws in bar_words(self.gd, max_degree).values() for w in ws]
         cx = self.complex
-        bad = verify_sdr(cx, max_degree)
-        for d in sorted(cx.cells_by_degree):
-            if d == 0 or (max_degree is not None and d > max_degree):
+        bad = verify_sdr(cx, cells)
+        for w in cells:
+            # the closed forms are defined on chains and attached words only
+            if isinstance(w, Path) or not (self.is_attached(w) or self.cg.is_chain(w)):
                 continue
-            for w in cx.cells_by_degree[d]:
-                # the closed forms are defined on chains and attached words only
-                if not (self.is_attached(w) or self.cg.is_chain(w)):
-                    continue
-                if self.sdr_p(w) != cx.p(w):
-                    bad.append(f"closed p != oracle p at {w!r}")
-                if self.sdr_h(w) != cx.h(w):
-                    bad.append(f"closed h != oracle h at {w!r}")
-                if self.cg.is_chain(w) and self.sdr_i(w) != cx.i(w):
-                    bad.append(f"closed i != oracle i at {w!r}")
+            if self.sdr_p(w) != cx.p(w):
+                bad.append(f"closed p != oracle p at {w!r}")
+            if self.sdr_h(w) != cx.h(w):
+                bad.append(f"closed h != oracle h at {w!r}")
+            if self.cg.is_chain(w) and self.sdr_i(w) != cx.i(w):
+                bad.append(f"closed i != oracle i at {w!r}")
         return bad

@@ -16,40 +16,25 @@ __all__ = ["BasedComplex", "verify_sdr"]
 
 
 class BasedComplex:
-    """A finite nonnegatively graded complex with basis, plus a matching.
+    """A nonnegatively graded complex with basis plus a matching, read on demand.
 
-    `cells_by_degree`: {degree: iterable of hashable cells}
     `diff`: cell -> FormalSum over cells one degree lower
-    `matching`: {lower_cell: upper_cell} pairs, upper one degree above lower;
-        the coefficient of lower in diff(upper) must be nonzero.
+    `match`: cell -> ("critical", None) | ("lower", upper) | ("upper", lower);
+        the upper cell lies one degree above its lower partner, and the
+        coefficient of lower in diff(upper) must be nonzero.
+    `degree`: cell -> int
+
+    Differentials, statuses and dotted weights are computed on first use and
+    kept.  A matched pair is checked the first time either cell is read.
     """
 
-    def __init__(self, cells_by_degree, diff, matching):
-        self.cells_by_degree = {d: tuple(cs) for d, cs in cells_by_degree.items() if cs}
-        self.degree_of = {}
-        for d, cs in self.cells_by_degree.items():
-            for c in cs:
-                if c in self.degree_of:
-                    raise ValueError(f"cell {c!r} listed twice")
-                self.degree_of[c] = d
+    def __init__(self, diff, match, degree):
         self._diff_fn = diff
+        self._match = match
+        self.degree = degree
         self._diff_cache: dict = {}
-        self.up = dict(matching)
-        self.down = {}
-        for lo, hi in self.up.items():
-            if self.degree_of[hi] != self.degree_of[lo] + 1:
-                raise ValueError(f"matched pair {lo!r}/{hi!r} not in adjacent degrees")
-            if hi in self.down:
-                raise ValueError(f"cell {hi!r} matched twice")
-            self.down[hi] = lo
-        if set(self.up) & set(self.down):
-            raise ValueError("a cell is matched both up and down")
-        self._weight = {}
-        for lo, hi in self.up.items():
-            c = self.diff(hi).coeff(lo)
-            if not c:
-                raise ValueError(f"matched coefficient of {lo!r} in d({hi!r}) is zero")
-            self._weight[lo] = qdiv(-1, c)
+        self._status: dict = {}  # cell -> (status, partner)
+        self._weight: dict = {}  # lower cell -> dotted weight
         self._p_cache: dict = {}
         self._I_cache: dict = {}
         self._busy: set = set()
@@ -62,23 +47,37 @@ class BasedComplex:
             got = self._diff_cache[cell] = self._diff_fn(cell)
         return got
 
-    def status(self, cell) -> str:
-        if cell in self.up:
-            return "lower"
-        if cell in self.down:
-            return "upper"
-        return "critical"
+    def _read(self, cell):
+        """(status, partner) of a cell not read before; checks and keeps its pair."""
+        got = self._match(cell)
+        st, partner = got
+        if st == "critical":
+            self._status[cell] = got
+            return got
+        lo, hi = (cell, partner) if st == "lower" else (partner, cell)
+        if self.degree(hi) != self.degree(lo) + 1:
+            raise ValueError(f"matched pair {lo!r}/{hi!r} not in adjacent degrees")
+        if self._match(partner) != (("upper", lo) if st == "lower" else ("lower", hi)):
+            raise ValueError(f"{partner!r} does not match back to {cell!r}")
+        c = self.diff(hi).coeff(lo)
+        if not c:
+            raise ValueError(f"matched coefficient of {lo!r} in d({hi!r}) is zero")
+        self._weight[lo] = qdiv(-1, c)
+        self._status[lo] = ("lower", hi)
+        self._status[hi] = ("upper", lo)
+        return got
 
-    def critical(self, degree: int):
-        return tuple(c for c in self.cells_by_degree.get(degree, ()) if self.status(c) == "critical")
+    def status(self, cell) -> str:
+        return (self._status.get(cell) or self._read(cell))[0]
 
     def dotted_weight(self, lower):
+        self.status(lower)
         return self._weight[lower]
 
     def thick(self, cell) -> FormalSum:
         d = self.diff(cell)
-        if cell in self.down:
-            lo = self.down[cell]
+        st, lo = self._status.get(cell) or self._read(cell)
+        if st == "upper":
             d = d - FormalSum.lift(lo, d.coeff(lo))
         return d
 
@@ -89,7 +88,7 @@ class BasedComplex:
         got = self._p_cache.get(cell)
         if got is not None:
             return got
-        st = self.status(cell)
+        st, hi = self._status.get(cell) or self._read(cell)
         if st == "critical":
             got = FormalSum.lift(cell)
         elif st == "upper":
@@ -99,7 +98,7 @@ class BasedComplex:
             if key in self._busy:
                 raise ValueError("zigzag cycle detected")
             self._busy.add(key)
-            got = self.thick(self.up[cell]).map_terms(self.p).scale(self.dotted_weight(cell))
+            got = self.thick(hi).map_terms(self.p).scale(self._weight[cell])
             self._busy.discard(key)
         self._p_cache[cell] = got
         return got
@@ -114,9 +113,11 @@ class BasedComplex:
             raise ValueError("zigzag cycle detected")
         self._busy.add(key)
         out = FormalSum.lift(cell)
+        status = self._status
         for y, w in self.thick(cell).terms.items():
-            if y in self.up:
-                out.add_scaled(self._walk_up(self.up[y]), w * self.dotted_weight(y))
+            st, hi = status.get(y) or self._read(y)
+            if st == "lower":
+                out.add_scaled(self._walk_up(hi), w * self._weight[y])
         self._busy.discard(key)
         self._I_cache[cell] = out
         return out
@@ -129,9 +130,10 @@ class BasedComplex:
 
     def h(self, cell) -> FormalSum:
         """The homotopy (degree +1); zero off the up-matched cells."""
-        if self.status(cell) != "lower":
+        st, hi = self._status.get(cell) or self._read(cell)
+        if st != "lower":
             return FormalSum()
-        return self._walk_up(self.up[cell]).scale(-self.dotted_weight(cell))
+        return self._walk_up(hi).scale(-self._weight[cell])
 
     def morse_diff(self, cell) -> FormalSum:
         """Differential induced on critical cells."""
@@ -140,13 +142,11 @@ class BasedComplex:
         return self.diff(cell).map_terms(self.p)
 
 
-def verify_sdr(cx: BasedComplex, max_degree: int | None = None) -> list[str]:
-    """Check the transfer identities on every cell of degree <= `max_degree`
-    (all when None); return human-readable violations."""
+def verify_sdr(cx: BasedComplex, cells) -> list[str]:
+    """Check the transfer identities on `cells`, taken in degree order; return
+    human-readable violations."""
     bad = []
-    degrees = [d for d in sorted(cx.cells_by_degree) if max_degree is None or d <= max_degree]
-    cells = [c for d in degrees for c in cx.cells_by_degree[d]]
-
+    cells = sorted(cells, key=cx.degree)
     for c in cells:
         if cx.diff(c).map_terms(cx.diff):
             bad.append(f"d∘d != 0 at {c!r}")
@@ -159,8 +159,8 @@ def verify_sdr(cx: BasedComplex, max_degree: int | None = None) -> list[str]:
             bad.append(f"h∘h != 0 at {c!r}")
         if hc.map_terms(cx.p):
             bad.append(f"p∘h != 0 at {c!r}")
-    for d in degrees:
-        for c in cx.critical(d):
+    for c in cells:
+        if cx.status(c) == "critical":
             if cx.i(c).map_terms(cx.p) != FormalSum.lift(c):
                 bad.append(f"p∘i != id at {c!r}")
             if cx.i(c).map_terms(cx.h):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
+import toupie.morse
 from toupie.chains import underlying_path
 from toupie.presentation import FormalSum, Path, Presentation, Quiver, compose
 
@@ -228,6 +229,42 @@ def stasheff_algebra_defects_by_tuples(table: dict, tuples_by_arity: dict, n_max
             if total:
                 bad.append((n, tup, total))
     return bad
+
+
+def listed_matching(cells_by_degree: dict, matching: dict):
+    """`match` and `degree` for `BasedComplex`, read off listed data: cells by
+    degree and {lower: upper} pairs.  An upper cell listed for two lower cells
+    keeps the last one as its partner, so the other does not match back."""
+    degree_of = {c: d for d, cs in cells_by_degree.items() for c in cs}
+    down = {hi: lo for lo, hi in matching.items()}
+
+    def match(cell):
+        if cell in matching:
+            return "lower", matching[cell]
+        if cell in down:
+            return "upper", down[cell]
+        return "critical", None
+
+    return match, degree_of.__getitem__
+
+
+def word_degree(cell) -> int:
+    """Degree of a bar cell: 0 for a vertex, else the number of letters."""
+    return 0 if isinstance(cell, Path) else len(cell)
+
+
+def record_bar_differentials(monkeypatch) -> list:
+    """Patch `toupie.morse.bar_differential` to record every word it is
+    evaluated on; returns the list it appends to."""
+    built = []
+    bar_differential = toupie.morse.bar_differential
+
+    def recording(gd, word):
+        built.append(word)
+        return bar_differential(gd, word)
+
+    monkeypatch.setattr(toupie.morse, "bar_differential", recording)
+    return built
 
 
 @pytest.fixture

@@ -9,7 +9,12 @@ from fractions import Fraction
 
 import pytest
 
-from tests.conftest import overlap_monomial_presentation, three_branch_presentation
+from tests.conftest import (
+    overlap_monomial_presentation,
+    record_bar_differentials,
+    three_branch_presentation,
+    word_degree,
+)
 from toupie.ainf import (
     ExtAlgebra,
     TorCoalgebra,
@@ -27,7 +32,7 @@ from toupie.duality import (
     ideal_equal,
     yoneda_presentation,
 )
-from toupie.morse import BarSDR
+from toupie.morse import BarSDR, bar_words
 from toupie.presentation import FormalSum
 from toupie.random_presentations import fixed_violators, random_presentation
 from toupie.rewriting import build_groebner, special_basis
@@ -105,16 +110,19 @@ def test_03_graded_and_double_dual_on_running_example():
     assert build_groebner(graded).dim == 16
 
 
-def test_04_sdr_closed_forms_match_zigzag_oracle():
+def test_04_sdr_closed_forms_match_zigzag_oracle(monkeypatch):
     start = time.perf_counter()
+    built = record_bar_differentials(monkeypatch)
     for pres in (three_branch_presentation(), overlap_monomial_presentation()):
         # verify() replays the five identities (id - ip = dh + hd, pi = id,
         # hh = 0, hi = 0, ph = 0) and compares closed-form h, p, i against the
         # generic zigzag evaluator on every cell
-        sdr = BarSDR(build_groebner(pres))
-        assert sdr.verify(4) == []
+        gd = build_groebner(pres)
+        built.clear()
+        assert BarSDR(gd).verify(4) == []
         # "every cell": verify(4) checks degree <= 4, and both complexes stop at 3
-        assert max(sdr.complex.cells_by_degree) <= 4
+        assert max(bar_words(gd)) <= 4
+        assert built and max(map(word_degree, built)) <= 4
     assert time.perf_counter() - start < 10.0
 
 

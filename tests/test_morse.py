@@ -61,20 +61,27 @@ def test_matching_pairs_three_branch(three_branch):
 
 def test_criticals_are_chains(three_branch, overlap_monomial):
     for pres in (three_branch, overlap_monomial):
-        sdr = BarSDR(build_groebner(pres))
+        gd = build_groebner(pres)
+        sdr = BarSDR(gd)
         cx = sdr.complex
-        for d in sorted(cx.cells_by_degree):
-            crit = set(cx.critical(d))
+        cells = bar_words(gd)
+        for d in sorted(cells):
+            crit = {c for c in cells[d] if cx.status(c) == "critical"}
             if d == 0:
-                assert crit == set(cx.cells_by_degree[0])
+                assert crit == set(cells[0])
             else:
                 assert crit == set(sdr.cg.chains(d - 1))
 
 
 def test_partner_of_partner(three_branch):
-    sdr = BarSDR(build_groebner(three_branch))
+    gd = build_groebner(three_branch)
+    sdr = BarSDR(gd)
     cx = sdr.complex
-    for lo, hi in cx.up.items():
+    lower = [w for ws in bar_words(gd).values() for w in ws if cx.status(w) == "lower"]
+    assert lower
+    for lo in lower:
+        st, hi = classify_word(sdr.cg, lo)
+        assert st == "lower" and cx.status(hi) == "upper"
         assert classify_word(sdr.cg, hi) == ("upper", lo)
 
 
@@ -132,19 +139,21 @@ def test_formal_words_with_tip_letters():
 
 
 def test_monomial_algebra_has_no_matched_cells(overlap_monomial):
-    sdr = BarSDR(build_groebner(overlap_monomial))
-    assert sdr.complex.up == {}
-    for d, cells in sdr.complex.cells_by_degree.items():
+    gd = build_groebner(overlap_monomial)
+    cx = BarSDR(gd).complex
+    for cells in bar_words(gd).values():
         for w in cells:
-            assert sdr.complex.morse_diff(w).is_zero
+            assert cx.status(w) == "critical"
+            assert cx.morse_diff(w).is_zero
 
 
 def test_induced_differential_vanishes(three_branch):
-    sdr = BarSDR(build_groebner(three_branch))
-    cx = sdr.complex
-    for d in sorted(cx.cells_by_degree):
-        for w in cx.critical(d):
-            assert cx.morse_diff(w).is_zero
+    gd = build_groebner(three_branch)
+    cx = BarSDR(gd).complex
+    for cells in bar_words(gd).values():
+        for w in cells:
+            if cx.status(w) == "critical":
+                assert cx.morse_diff(w).is_zero
 
 
 def test_closed_maps_match_oracle_everywhere(three_branch, overlap_monomial):

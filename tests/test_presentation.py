@@ -31,7 +31,7 @@ from toupie.duality import gr_algebra
 from toupie.morse import bar_words, classify_word
 from toupie.rewriting import build_groebner, classify_branches
 from toupie.zigzag import BasedComplex
-from tests.conftest import lincomb_mul, occurs, three_branch_presentation
+from tests.conftest import lincomb_mul, listed_matching, occurs, three_branch_presentation
 
 
 def test_path_compose_and_slice(three_branch):
@@ -175,7 +175,7 @@ def test_qdiv_is_the_exact_quotient(a, b):
 def test_dotted_weight_of_a_non_unit_match_is_exact():
     # d(y) = 2x with x matched to y: the dotted arrow x -> y weighs -1/2
     diff = {"x": FormalSum(), "y": FormalSum.lift("x", 2)}
-    cx = BasedComplex({0: ["x"], 1: ["y"]}, diff.__getitem__, {"x": "y"})
+    cx = BasedComplex(diff.__getitem__, *listed_matching({0: ["x"], 1: ["y"]}, {"x": "y"}))
     w = cx.dotted_weight("x")
     assert type(w) is Fraction and w == Fraction(-1, 2)
     h = cx.h("x")

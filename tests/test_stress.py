@@ -42,3 +42,11 @@ def test_double_dual_line_30_2(capsys, tmp_path):
     report = json.loads(capsys.readouterr().out)
     assert report["status"] == "ok"
     assert report["result"]["matches_gr"] is True
+
+
+def test_oracle_diff_line_24_4(capsys, tmp_path):
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps(presentation_payload(lines_presentation(1, 24, 4))))
+    args = ["oracle-diff", str(path), "--degree", "1", "--arity", "3", "--format", "json"]
+    assert main(args) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "ok"
