@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from itertools import product
 
-from .chains import ChainGraph, underlying_path
+from .chains import ChainGraph
 from .morse import BarSDR
-from .presentation import FormalSum, compose
+from .presentation import FormalSum, Path
 from .rewriting import GroebnerData
 
 __all__ = [
@@ -134,7 +134,7 @@ class TorCoalgebra:
         r = len(chain) - 1
         if n < 2 or r < 1:
             return out
-        path = underlying_path(chain)
+        path = self.cg.path(chain)
         support = self.gd.tip_inverse(path) if r == 1 else FormalSum.lift(path)
         for q, cq in support.terms.items():
             for blocks in self.cg.decompositions((q,), n, r - 1):
@@ -213,12 +213,10 @@ class ExtAlgebra:
         out = FormalSum()
         if n < 2:
             return out
-        for f, g in zip(duals, duals[1:]):
-            if underlying_path(f).target != underlying_path(g).source:
-                return out
-        concat = underlying_path(duals[0])
-        for f in duals[1:]:
-            concat = compose(concat, underlying_path(f))
+        paths = [self.cg.path(f) for f in duals]
+        if any(f.target != g.source for f, g in zip(paths, paths[1:])):
+            return out
+        concat = Path(paths[0].source, [a for p in paths for a in p.arrows])
         degs = [len(f) - 1 for f in duals]
         if not any(degs):
             # every factor an arrow: the products live on the relations

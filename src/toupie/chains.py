@@ -14,17 +14,20 @@ arrow.
 """
 from __future__ import annotations
 
-from .presentation import Path, compose
+from .presentation import Path
 from .rewriting import GroebnerData
 
 __all__ = ["ChainGraph", "underlying_path"]
 
 
 def underlying_path(word) -> Path:
-    p = word[0]
-    for w in word[1:]:
-        p = compose(p, w)
-    return p
+    """The letters of `word` composed in order (ValueError if they do not compose)."""
+    if len(word) == 1:
+        return word[0]
+    for p, q in zip(word, word[1:]):
+        if p.target != q.source:
+            raise ValueError(f"paths not composable: {p!r} ends at {p.target!r}, {q!r} starts at {q.source!r}")
+    return Path(word[0].source, [a for w in word for a in w.arrows])
 
 
 class ChainGraph:
@@ -52,6 +55,7 @@ class ChainGraph:
             self.runs[a] = tuple(run)
             self.prefix_letters[a] = letters
         self._chains: dict = {}
+        self._chain_paths: dict = {}
 
     # -- words ---------------------------------------------------------------
 
@@ -68,6 +72,13 @@ class ChainGraph:
     def is_chain(self, word) -> bool:
         return len(word) > 0 and self.prefix_chain_length(word) == len(word)
 
+    def path(self, word) -> Path:
+        """The underlying path of `word`, kept once read."""
+        got = self._chain_paths.get(word)
+        if got is None:
+            got = self._chain_paths[word] = underlying_path(word)
+        return got
+
     def parse(self, path: Path):
         """The chain word with underlying path `path`, or None."""
         if len(path) == 0:
@@ -81,7 +92,7 @@ class ChainGraph:
         got = self._chains.get(degree)
         if got is None:
             layer = [run[: degree + 1] for run in self.runs.values() if len(run) > degree]
-            got = self._chains[degree] = sorted(layer, key=lambda w: underlying_path(w).sort_key())
+            got = self._chains[degree] = sorted(layer, key=lambda w: self.path(w).sort_key())
         return got
 
     def max_chain_degree(self) -> int:

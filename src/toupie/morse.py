@@ -10,7 +10,7 @@ here next to the generic zigzag oracle for cross-checking.
 """
 from __future__ import annotations
 
-from .chains import ChainGraph, underlying_path
+from .chains import ChainGraph
 from .presentation import FormalSum, Path, compose
 from .rewriting import GroebnerData
 from .zigzag import BasedComplex, verify_sdr
@@ -19,10 +19,9 @@ __all__ = ["bar_words", "bar_differential", "classify_word", "BarSDR"]
 
 
 def _word_key(word):
-    # the underlying path's sort_key, then the letter lengths, read off the
-    # letters: building (and interning) the underlying path only to sort is waste
-    names = tuple(n for p in word for n in p.names)
-    return (len(names), word[0].source, names), tuple(len(p) for p in word)
+    # the underlying path's sort_key and the letter lengths, without building the path
+    names = sum([p.names for p in word], ())
+    return (len(names), word[0].source, names), tuple(map(len, word))
 
 
 def bar_words(gd: GroebnerData, max_degree: int | None = None) -> dict[int, list]:
@@ -183,7 +182,7 @@ class BarSDR:
             raise ValueError(f"not a chain: {word!r}")
         if len(word) != 2:
             return FormalSum.lift(word)
-        tip = underlying_path(word)
+        tip = self.cg.path(word)
         out = FormalSum()
         for q, c in self.gd.tip_inverse(tip).terms.items():
             out.add_term((q.slice(0, 1), q.slice(1, len(q))), c)

@@ -51,10 +51,11 @@ class Path:
     that source and those arrows (compared by `Arrow` equality), so equal
     paths are the same object and hashing and `==` are identity.  The
     composability check runs only when a new path is created.  Paths are
-    immutable; the table holds them weakly, so unused paths are freed.
+    immutable; the table holds them weakly, so unused paths are freed.  The
+    sort key, which holds the arrow names, is kept on the path when first read.
     """
 
-    __slots__ = ("source", "arrows", "__weakref__")
+    __slots__ = ("source", "arrows", "_key", "__weakref__")
     _table: "weakref.WeakValueDictionary[tuple, Path]" = weakref.WeakValueDictionary()
 
     source: str
@@ -95,10 +96,15 @@ class Path:
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self.arrows)
+        return self.sort_key()[2]
 
     def sort_key(self):
-        return (len(self.arrows), self.source, self.names)
+        try:
+            return self._key
+        except AttributeError:
+            names = tuple(a.name for a in self.arrows)
+            object.__setattr__(self, "_key", (len(self.arrows), self.source, names))
+            return self._key
 
     def __repr__(self) -> str:
         if not self.arrows:
@@ -114,8 +120,11 @@ class Path:
 
 
 def compose(p: Path, q: Path) -> Path:
+    """p then q; a trivial side returns the other path itself."""
     if p.target != q.source:
         raise ValueError(f"paths not composable: {p!r} ends at {p.target!r}, {q!r} starts at {q.source!r}")
+    if not (p.arrows and q.arrows):
+        return p if not q.arrows else q
     return Path(p.source, p.arrows + q.arrows)
 
 

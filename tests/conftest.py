@@ -7,7 +7,6 @@ import pytest
 from hypothesis import strategies as st
 
 import toupie.morse
-from toupie.chains import underlying_path
 from toupie.presentation import FormalSum, Path, Presentation, Quiver, compose
 
 
@@ -129,6 +128,15 @@ def all_paths(q: Quiver) -> list[Path]:
     return out
 
 
+def fold_path(word) -> Path:
+    """Oracle for underlying paths: the letters of `word` composed one
+    `compose` at a time, left to right."""
+    p = word[0]
+    for w in word[1:]:
+        p = compose(p, w)
+    return p
+
+
 def lincomb_mul(a: FormalSum, b: FormalSum) -> FormalSum:
     """Product in the path algebra: bilinear, non-composable pairs multiply to 0."""
     out = FormalSum()
@@ -191,13 +199,13 @@ def composable_tuples(ext, arity: int) -> list[tuple]:
     chains = ext.tor.all_chains()
     by_source: dict = {}
     for c in chains:
-        by_source.setdefault(underlying_path(c).source, []).append(c)
+        by_source.setdefault(fold_path(c).source, []).append(c)
     tuples = [(c,) for c in chains]
     for _ in range(arity - 1):
         tuples = [
             t + (c,)
             for t in tuples
-            for c in by_source.get(underlying_path(t[-1]).target, ())
+            for c in by_source.get(fold_path(t[-1]).target, ())
         ]
     return tuples
 

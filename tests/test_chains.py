@@ -1,6 +1,7 @@
 """Chain words, their graph, parses and decompositions."""
 from __future__ import annotations
 
+import gc
 from itertools import combinations, product
 
 import pytest
@@ -12,10 +13,12 @@ from toupie.random_presentations import random_presentation
 from toupie.rewriting import build_groebner
 from tests.conftest import (
     all_paths,
+    fold_path,
     lines_presentation,
     monomial_presentations,
     occurs,
     overlap_monomial_presentation,
+    plain_beside_quadratic_presentation,
     single_chain_presentation,
     three_branch_presentation,
 )
@@ -181,10 +184,12 @@ def assert_chains_are_brute_force(pres):
     layers = brute_force_chains(cg.gd, max(len(p) for p in paths))
     assert layers[-1] == []
     for d, layer in enumerate(layers):
-        assert cg.chains(d) == sorted(layer, key=lambda w: underlying_path(w).sort_key()), d
+        assert cg.chains(d) == sorted(layer, key=lambda w: fold_path(w).sort_key()), d
         for w in cg.chains(d):
             assert cg.is_chain(w)
-    by_path = {underlying_path(w): w for layer in layers for w in layer}
+            # the kept path is the composed one, the very object
+            assert cg.path(w) is fold_path(w) is underlying_path(w)
+    by_path = {fold_path(w): w for layer in layers for w in layer}
     for p in paths:
         if p.is_trivial:
             continue
@@ -194,6 +199,8 @@ def assert_chains_are_brute_force(pres):
             bounds = [0] + [j + 1 for j, c in enumerate(cuts) if c] + [len(p)]
             word = tuple(p.slice(a, b) for a, b in zip(bounds, bounds[1:]))
             assert cg.is_chain(word) == (by_path.get(p) == word), word
+            # any word's kept path is its letters composed
+            assert cg.path(word) is p is underlying_path(word), word
 
 
 @pytest.mark.parametrize(
@@ -226,6 +233,92 @@ def test_chain_counts_scale_with_branch_copies():
     assert one == [8, 6, 5, 3, 2, 0]
     for copies in (2, 3):
         assert counts(copies) == [copies * n for n in one]
+
+
+def test_chain_paths_are_built_only_for_the_chains_read():
+    # on line(200,2) every arrow's run reaches the sink, so keeping the path of
+    # every run prefix would build ~20,000 paths; chains(1) needs 199
+    cg = ChainGraph(build_groebner(lines_presentation(1, 200, 2)))
+    gc.collect()
+    before = len(Path._table)
+    layer = cg.chains(1)
+    assert len(layer) == 199
+    assert len(Path._table) - before <= len(layer)
+    assert [cg.path(w) for w in layer] == [fold_path(w) for w in layer]
+
+
+# -- Euler-Cartan identity: the chains resolve the algebra ----------------------
+
+
+def nontip_counts(q, tips) -> dict:
+    """{(i, j): number of paths from i to j containing no tip}, trivial paths
+    included, by a scan of every path for tips as consecutive arrow runs."""
+    counts: dict = {}
+    for p in all_paths(q):
+        if not any(occurs(p, t) for t in tips):
+            counts[p.source, p.target] = counts.get((p.source, p.target), 0) + 1
+    return counts
+
+
+def euler_cartan_defect(gd, chain_layers) -> dict:
+    """sum_n (-1)^n C B_n C - C, nonzero entries only.
+
+    C[i][j] counts the nontips from vertex i to vertex j, found by brute force
+    from the tips; B_0 is the identity and B_n (n >= 1) counts the chains of n
+    letters, `chain_layers[n - 1]`, by (first source, last target).  The chains
+    index a resolution of the algebra by projective bimodules, so the
+    alternating sum is C.
+    """
+    verts = gd.quiver.vertices
+    cartan = nontip_counts(gd.quiver, gd.tips)
+    total = {(i, j): -c for (i, j), c in cartan.items()}
+    counts = [{(v, v): 1 for v in verts}]
+    for layer in chain_layers:
+        counts.append({})
+        for w in layer:
+            ends = (w[0].source, w[-1].target)
+            counts[-1][ends] = counts[-1].get(ends, 0) + 1
+    for n, b in enumerate(counts):
+        for (s, t), m in b.items():
+            for i in verts:
+                for j in verts:
+                    c = cartan.get((i, s), 0) * m * cartan.get((t, j), 0)
+                    total[i, j] = total.get((i, j), 0) + (-1) ** n * c
+    return {k: v for k, v in total.items() if v}
+
+
+def all_chain_layers(cg) -> list:
+    return [cg.chains(d) for d in range(cg.max_chain_degree() + 1)]
+
+
+@pytest.mark.parametrize(
+    "pres",
+    [
+        three_branch_presentation(),
+        overlap_monomial_presentation(),
+        lines_presentation(1, 10, 3),
+        lines_presentation(1, 12, 7),
+        plain_beside_quadratic_presentation(8),
+        *(random_presentation(seed) for seed in range(40)),
+    ],
+    ids=[
+        "three-branch", "overlap", "line-10-3", "line-12-7", "plain-8",
+        *(f"seed-{s}" for s in range(40)),
+    ],
+)
+def test_chains_satisfy_the_euler_cartan_identity(pres):
+    cg = ChainGraph(build_groebner(pres))
+    assert cg.chains(cg.max_chain_degree() + 1) == []
+    assert euler_cartan_defect(cg.gd, all_chain_layers(cg)) == {}
+
+
+def test_euler_cartan_identity_sees_a_missing_chain():
+    # negative control: one chain fewer in any layer of line(10,3) breaks the sum
+    cg = ChainGraph(build_groebner(lines_presentation(1, 10, 3)))
+    layers = all_chain_layers(cg)
+    for d in range(len(layers)):
+        short = layers[:d] + [layers[d][1:]] + layers[d + 1 :]
+        assert euler_cartan_defect(cg.gd, short) != {}, d
 
 
 # -- decompositions against the cut-subset enumeration ------------------------

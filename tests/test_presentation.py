@@ -25,13 +25,24 @@ from toupie.presentation import (
     validate_toupie,
 )
 import toupie
+import toupie.cli
+from toupie.ainf import ExtAlgebra, TorCoalgebra, algebra_table, coalgebra_table
 from toupie.anick import AnickResolution
+from toupie.chains import underlying_path
 from toupie.cli import main, parse_presentation, presentation_payload
 from toupie.duality import gr_algebra
 from toupie.morse import bar_words, classify_word
+from toupie.random_presentations import random_presentation
 from toupie.rewriting import build_groebner, classify_branches
 from toupie.zigzag import BasedComplex
-from tests.conftest import lincomb_mul, listed_matching, occurs, three_branch_presentation
+from tests.conftest import (
+    fold_path,
+    lincomb_mul,
+    listed_matching,
+    occurs,
+    overlap_monomial_presentation,
+    three_branch_presentation,
+)
 
 
 def test_path_compose_and_slice(three_branch):
@@ -82,6 +93,71 @@ def test_equal_paths_are_one_object(three_branch):
     assert all(x is y for x, y in zip(branches_of(again.quiver), branches_of(q)))
 
 
+def test_compose_with_a_trivial_path_returns_the_other_path(three_branch):
+    q = three_branch.quiver
+    for p in (q.path("a1"), q.path("a2", "a3"), q.path("b1", "b2")):
+        start, end = Path(p.source, ()), Path(p.target, ())
+        assert compose(start, p) is p and compose(p, end) is p
+        assert compose(start, start) is start
+        # the endpoint check still runs when one side is trivial
+        with pytest.raises(ValueError):
+            compose(end, p)
+        with pytest.raises(ValueError):
+            compose(p, start)
+
+
+def test_underlying_path_is_the_fold_of_compose(three_branch):
+    for pres in (three_branch, overlap_monomial_presentation(), random_presentation(3)):
+        gd = build_groebner(pres)
+        words = [w for d, ws in bar_words(gd, 4).items() if d for w in ws]
+        assert words
+        for w in words:
+            assert underlying_path(w) is fold_path(w), w
+    q = three_branch.quiver
+    a1, a2, a3, b2 = (q.path(n) for n in ("a1", "a2", "a3", "b2"))
+    a12, w = Path("a12", ()), Path("w", ())
+    # trivial letters compose like any other
+    word = (a1, a12, a2, a3)
+    assert underlying_path(word) is fold_path(word) is q.path("a1", "a2", "a3")
+    # non-composable words raise, also where the arrows alone would compose
+    for bad in ((a1, b2), (a1, a3), (a1, w), (a1, a2, w), (w, a1)):
+        with pytest.raises(ValueError):
+            fold_path(bad)
+        with pytest.raises(ValueError):
+            underlying_path(bad)
+
+
+def _run_acceptance_jobs(pres) -> list:
+    """The library objects behind the acceptance checks, kept alive."""
+    gd = build_groebner(pres)
+    tor = TorCoalgebra(gd)
+    ext = ExtAlgebra(tor)
+    tables = [coalgebra_table(tor, 4), algebra_table(ext, 4)]
+    assert tor.sdr.verify(3) == []
+    res = AnickResolution(gd)
+    assert res.check(3)["square_zero"]
+    for chain in tor.all_chains():
+        for n in (2, 3):
+            assert tor.closed_delta(n, chain) == tor.transfer_delta(n, chain)
+    return [gd, tor, ext, tables, res, gr_algebra(pres)]
+
+
+def test_kept_names_and_sort_keys_equal_recomputation():
+    subjects = [three_branch_presentation(), overlap_monomial_presentation()]
+    subjects += [random_presentation(seed) for seed in range(25)]
+    alive = [_run_acceptance_jobs(pres) for pres in subjects]
+    paths = list(Path._table.values())
+    assert alive and len(paths) > 100
+    for p in paths:
+        names = p.names
+        assert names == tuple(a.name for a in p.arrows), p
+        assert p.sort_key() == (len(p.arrows), p.source, names), p
+        # kept: the same objects on every read
+        assert p.names is names and p.sort_key() is p.sort_key()
+    with pytest.raises(AttributeError):
+        paths[0]._key = None
+
+
 def test_same_names_other_endpoints_stay_distinct():
     x_to_v, x_to_w = Arrow("x", "u", "v"), Arrow("x", "u", "w")
     p, r = Path("u", (x_to_v,)), Path("u", (x_to_w,))
@@ -90,12 +166,33 @@ def test_same_names_other_endpoints_stay_distinct():
     assert repr(p) == repr(r) == "x"
 
 
+ALL_COMMANDS = (
+    "validate",
+    "branches",
+    "tips",
+    "chains",
+    "betti",
+    "resolution-check",
+    "sdr-check",
+    "tor-coalgebra",
+    "ext-products",
+    "stasheff",
+    "yoneda",
+    "gr",
+    "double-dual",
+    "oracle-diff",
+)
+
+
 def test_intern_table_does_not_leak(tmp_path, capsys):
+    # every command, so the paths kept by each job's caches (chain paths,
+    # memoised transfer maps) are all freed when the job ends
+    assert set(ALL_COMMANDS) == set(toupie.cli._COMMAND_NAMES)
     path = tmp_path / "input.json"
     path.write_text(json.dumps(presentation_payload(three_branch_presentation())))
     gc.collect()
     before = len(Path._table)
-    for command in ("sdr-check", "ext-products", "double-dual", "oracle-diff"):
+    for command in ALL_COMMANDS:
         main([command, str(path), "--format", "json"])
         capsys.readouterr()
         gc.collect()

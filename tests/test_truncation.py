@@ -11,6 +11,7 @@ import pytest
 
 import toupie.morse
 from tests.conftest import (
+    fold_path,
     lines_presentation,
     overlap_monomial_presentation,
     plain_beside_quadratic_presentation,
@@ -19,7 +20,7 @@ from tests.conftest import (
     word_degree,
 )
 from toupie.ainf import TorCoalgebra
-from toupie.chains import ChainGraph, underlying_path
+from toupie.chains import ChainGraph
 from toupie.cli import main, presentation_payload
 from toupie.morse import BarSDR, bar_words, classify_word
 from toupie.random_presentations import random_presentation
@@ -47,7 +48,7 @@ def _brute_force_words(gd):
     out = {0: [gd.quiver.trivial(v) for v in gd.quiver.vertices]}
     layer = [(p,) for p in letters]
     while layer:
-        key = lambda w: (underlying_path(w).sort_key(), tuple(len(p) for p in w))
+        key = lambda w: (fold_path(w).sort_key(), tuple(len(p) for p in w))
         out[len(layer[0])] = sorted(layer, key=key)
         layer = [w + (p,) for w in layer for p in letters if w[-1].target == p.source]
     return out
