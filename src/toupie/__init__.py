@@ -1,94 +1,52 @@
-"""Exact homological computations for toupie quiver algebras."""
+"""Exact homological computations for toupie quiver algebras.
+
+`import toupie` loads no submodule.  Each public name is imported from the
+module that `_EXPORTS` files it under on first use (PEP 562) and then kept, so
+a program pays only for the stages it runs.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .presentation import (
-    Arrow,
-    FormalSum,
-    Path,
-    Presentation,
-    Quiver,
-    branches_of,
-    compose,
-    validate_toupie,
-)
-from .rewriting import GroebnerData, build_groebner, classify_branches, rref, special_basis
-from .chains import ChainGraph, underlying_path
-from .zigzag import BasedComplex, verify_sdr
-from .morse import BarSDR, bar_differential, bar_words, classify_word
-from .anick import AnickResolution, betti_numbers
-from .ainf import (
-    ExtAlgebra,
-    TorCoalgebra,
-    algebra_table,
-    coalgebra_table,
-    stasheff_algebra_defects,
-    stasheff_coalgebra_defects,
-)
-from .duality import (
-    GammaGraph,
-    HypothesesError,
-    HypothesesReport,
-    double_dual,
-    gamma_graph,
-    gr_algebra,
-    hypotheses_check,
-    ideal_equal,
-    opposite_quiver,
-    quadratic_blocks,
-    yoneda_presentation,
-)
-from .random_presentations import (
-    GeneratorConfig,
-    fixed_violators,
-    random_groebner,
-    random_presentation,
-)
+_EXPORTS = {
+    "presentation": (
+        "Arrow", "FormalSum", "Path", "Presentation", "Quiver", "branches_of", "compose",
+        "validate_toupie",
+    ),
+    "rewriting": ("GroebnerData", "build_groebner", "classify_branches", "rref", "special_basis"),
+    "chains": ("ChainGraph", "underlying_path"),
+    "zigzag": ("BasedComplex", "verify_sdr"),
+    "morse": ("BarSDR", "bar_differential", "bar_words", "classify_word"),
+    "anick": ("AnickResolution", "betti_numbers"),
+    "ainf": (
+        "ExtAlgebra", "TorCoalgebra", "algebra_table", "coalgebra_table",
+        "stasheff_algebra_defects", "stasheff_coalgebra_defects",
+    ),
+    "duality": (
+        "GammaGraph", "HypothesesError", "HypothesesReport", "double_dual", "gamma_graph",
+        "gr_algebra", "hypotheses_check", "ideal_equal", "opposite_quiver", "quadratic_blocks",
+        "yoneda_presentation",
+    ),
+    "random_presentations": (
+        "GeneratorConfig", "fixed_violators", "random_groebner", "random_presentation",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "Arrow",
-    "FormalSum",
-    "Path",
-    "Presentation",
-    "Quiver",
-    "branches_of",
-    "compose",
-    "validate_toupie",
-    "GroebnerData",
-    "build_groebner",
-    "classify_branches",
-    "rref",
-    "special_basis",
-    "ChainGraph",
-    "underlying_path",
-    "BasedComplex",
-    "verify_sdr",
-    "BarSDR",
-    "bar_differential",
-    "bar_words",
-    "classify_word",
-    "AnickResolution",
-    "betti_numbers",
-    "ExtAlgebra",
-    "TorCoalgebra",
-    "algebra_table",
-    "coalgebra_table",
-    "stasheff_algebra_defects",
-    "stasheff_coalgebra_defects",
-    "GammaGraph",
-    "HypothesesError",
-    "HypothesesReport",
-    "double_dual",
-    "gamma_graph",
-    "gr_algebra",
-    "hypotheses_check",
-    "ideal_equal",
-    "opposite_quiver",
-    "quadratic_blocks",
-    "yoneda_presentation",
-    "GeneratorConfig",
-    "fixed_violators",
-    "random_groebner",
-    "random_presentation",
-    "__version__",
-]
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name):
+    if name in _HOME:
+        value = getattr(importlib.import_module("." + _HOME[name], __name__), name)
+    elif name in _EXPORTS:
+        value = importlib.import_module("." + name, __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -9,8 +9,9 @@ computed by the same projection recursion, now transporting the decorations.
 """
 from __future__ import annotations
 
+from . import morse
 from .chains import ChainGraph
-from .morse import bar_differential, build_matching
+from .morse import bar_differential
 from .presentation import FormalSum, Path, compose, qdiv
 from .rewriting import GroebnerData
 
@@ -27,10 +28,11 @@ class AnickResolution:
     def __init__(self, gd: GroebnerData):
         self.gd = gd
         self.cg = ChainGraph(gd)
-        self._match = build_matching(self.cg)
+        self._match = morse.build_matching(self.cg)
         self._status: dict = {}
         self._p_cache: dict = {}
         self._diff_cache: dict = {}
+        self._d_cache: dict = {}
 
     # -- the two-sided word differential -------------------------------------
 
@@ -101,12 +103,17 @@ class AnickResolution:
         return got
 
     def differential(self, chain) -> FormalSum:
-        """Induced differential on a chain generator (or a vertex: zero)."""
+        """Induced differential on a chain generator (or a vertex: zero); kept
+        per chain and shared, so callers only read it."""
+        got = self._d_cache.get(chain)
+        if got is not None:
+            return got
         if self._classify(chain)[0] != "critical":
             raise ValueError(f"not a chain generator: {chain!r}")
         out = FormalSum()
         for (l, y, r), c in self.bimodule_diff(chain).terms.items():
             out.add_scaled(self._sandwich(l, r, self.p(y)), c)
+        self._d_cache[chain] = out
         return out
 
     def augmentation(self, fs: FormalSum) -> FormalSum:

@@ -22,7 +22,6 @@ Coefficients are exact rationals written as ``"n"`` or ``"n/d"``.
 from __future__ import annotations
 
 import argparse
-import difflib
 import functools
 import hashlib
 import json
@@ -35,27 +34,8 @@ from pathlib import Path as FilePath
 from typing import Optional
 
 from . import __version__
-from .ainf import (
-    ExtAlgebra,
-    TorCoalgebra,
-    algebra_table,
-    coalgebra_table,
-    stasheff_algebra_defects,
-    stasheff_coalgebra_defects,
-)
-from .anick import AnickResolution, betti_numbers
-from .chains import ChainGraph
-from .duality import (
-    HypothesesError,
-    double_dual,
-    gr_algebra,
-    ideal_equal,
-    yoneda_presentation,
-)
-from .morse import BarSDR
-from .presentation import FormalSum, Path, Presentation, Quiver, branches_of
-from .random_presentations import random_presentation
-from .rewriting import build_groebner, classify_branches
+# the one module every command runs; each command imports the others it runs
+from .presentation import FormalSum, Path, Presentation, Quiver
 
 _RATIONAL = re.compile(r"^-?\d+(?:/[1-9]\d*)?$")
 _ARROW_KEYS = {"name", "src", "dst"}
@@ -303,6 +283,8 @@ def render_report(report: dict, fmt: str) -> str:
 
 
 def cmd_validate(job: JobSpec, pres: Presentation):
+    from .presentation import branches_of
+    from .rewriting import build_groebner
     branches = branches_of(pres.quiver)
     gd = build_groebner(pres)
     result = {
@@ -318,6 +300,7 @@ def cmd_validate(job: JobSpec, pres: Presentation):
 
 
 def cmd_branches(job: JobSpec, pres: Presentation):
+    from .rewriting import build_groebner, classify_branches
     rows = [
         {"arrows": list(b.names), "length": len(b), "classes": [cls]}
         for b, cls in classify_branches(build_groebner(pres)).items()
@@ -326,6 +309,7 @@ def cmd_branches(job: JobSpec, pres: Presentation):
 
 
 def cmd_tips(job: JobSpec, pres: Presentation):
+    from .rewriting import build_groebner
     gd = build_groebner(pres)
     result = {
         "monomial": [list(t.names) for t in gd.mono_tips],
@@ -339,6 +323,8 @@ def cmd_tips(job: JobSpec, pres: Presentation):
 
 
 def cmd_chains(job: JobSpec, pres: Presentation):
+    from .chains import ChainGraph
+    from .rewriting import build_groebner
     gd = build_groebner(pres)
     cg = ChainGraph(gd)
     by_degree, counts = {}, []
@@ -352,6 +338,8 @@ def cmd_chains(job: JobSpec, pres: Presentation):
 
 
 def cmd_betti(job: JobSpec, pres: Presentation):
+    from .anick import betti_numbers
+    from .rewriting import build_groebner
     gd = build_groebner(pres)
     ranks = betti_numbers(gd, job.degree)
     # chains nest, so past the first empty degree every rank stays zero
@@ -361,6 +349,8 @@ def cmd_betti(job: JobSpec, pres: Presentation):
 
 
 def cmd_resolution_check(job: JobSpec, pres: Presentation):
+    from .anick import AnickResolution, betti_numbers
+    from .rewriting import build_groebner
     gd = build_groebner(pres)
     rep = AnickResolution(gd).check(job.degree)
     ok = rep["square_zero"] and rep["augmented"] and rep["minimal"]
@@ -376,6 +366,8 @@ def cmd_resolution_check(job: JobSpec, pres: Presentation):
 
 
 def cmd_sdr_check(job: JobSpec, pres: Presentation):
+    from .morse import BarSDR
+    from .rewriting import build_groebner
     gd = build_groebner(pres)
     bad = BarSDR(gd).verify(job.degree)
     return ("ok" if not bad else "violation"), {
@@ -385,6 +377,8 @@ def cmd_sdr_check(job: JobSpec, pres: Presentation):
 
 
 def cmd_tor_coalgebra(job: JobSpec, pres: Presentation):
+    from .ainf import TorCoalgebra, coalgebra_table
+    from .rewriting import build_groebner
     gd = build_groebner(pres)
     table = coalgebra_table(TorCoalgebra(gd), job.arity)
     out = {
@@ -408,12 +402,16 @@ def _product_rows(table: dict, n_max: int) -> dict:
 
 
 def cmd_ext_products(job: JobSpec, pres: Presentation):
+    from .ainf import ExtAlgebra, TorCoalgebra, algebra_table
+    from .rewriting import build_groebner
     gd = build_groebner(pres)
     table = algebra_table(ExtAlgebra(TorCoalgebra(gd)), job.arity)
     return "ok", {"products": _product_rows(table, job.arity)}
 
 
 def _stasheff_payload(gd, arity: int) -> dict:
+    from .ainf import ExtAlgebra, TorCoalgebra, algebra_table, coalgebra_table
+    from .ainf import stasheff_algebra_defects, stasheff_coalgebra_defects
     tor = TorCoalgebra(gd)
     ext = ExtAlgebra(tor)
     ctab = coalgebra_table(tor, arity)
@@ -436,11 +434,14 @@ def _stasheff_payload(gd, arity: int) -> dict:
 def _subjects(job: JobSpec, gd) -> list:
     out = [("input", gd)]
     if job.seed is not None:
+        from .random_presentations import random_presentation
+        from .rewriting import build_groebner
         out.append((f"seed-{job.seed}", build_groebner(random_presentation(job.seed))))
     return out
 
 
 def cmd_stasheff(job: JobSpec, pres: Presentation):
+    from .rewriting import build_groebner
     gd = build_groebner(pres)
     result, clean = {}, True
     for label, g in _subjects(job, gd):
@@ -450,14 +451,17 @@ def cmd_stasheff(job: JobSpec, pres: Presentation):
     return ("ok" if clean else "violation"), result
 
 
-def _refusal_payload(gd, err: HypothesesError, job: JobSpec) -> dict:
+def _refusal_payload(gd, err, job: JobSpec) -> dict:
     """Refusals still ship the operation tables so the structure that broke
     the construction stays inspectable."""
+    from .ainf import ExtAlgebra, TorCoalgebra, algebra_table
     table = algebra_table(ExtAlgebra(TorCoalgebra(gd)), job.arity)
     return {"reasons": list(err.reasons), "products": _product_rows(table, job.arity)}
 
 
 def cmd_yoneda(job: JobSpec, pres: Presentation):
+    from .duality import HypothesesError, yoneda_presentation
+    from .rewriting import build_groebner
     gd = build_groebner(pres)
     try:
         dual = yoneda_presentation(pres)
@@ -470,6 +474,8 @@ def cmd_yoneda(job: JobSpec, pres: Presentation):
 
 
 def cmd_gr(job: JobSpec, pres: Presentation):
+    from .duality import gr_algebra
+    from .rewriting import build_groebner
     gd = build_groebner(pres)
     graded = gr_algebra(pres)
     gdim = build_groebner(graded).dim
@@ -482,6 +488,8 @@ def cmd_gr(job: JobSpec, pres: Presentation):
 
 
 def cmd_double_dual(job: JobSpec, pres: Presentation):
+    from .duality import HypothesesError, double_dual, gr_algebra, ideal_equal
+    from .rewriting import build_groebner
     gd = build_groebner(pres)
     try:
         dd = double_dual(pres)
@@ -498,6 +506,8 @@ def cmd_double_dual(job: JobSpec, pres: Presentation):
 
 
 def cmd_oracle_diff(job: JobSpec, pres: Presentation):
+    from .ainf import TorCoalgebra
+    from .rewriting import build_groebner
     gd = build_groebner(pres)
     result, clean = {}, True
     for label, g in _subjects(job, gd):
@@ -551,6 +561,7 @@ _COMMAND_NAMES = tuple(_HANDLERS)
 
 
 def _check_golden(path_str: str, out_bytes: bytes) -> int:
+    import difflib
     golden = FilePath(path_str)
     if not golden.exists():
         golden.write_bytes(out_bytes)

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import presentation, rewriting
 from .ainf import ExtAlgebra, TorCoalgebra
 from .presentation import (
     FormalSum,
@@ -24,10 +25,9 @@ from .presentation import (
     Presentation,
     Quiver,
     _term_key,
-    branches_of,
     qdiv,
 )
-from .rewriting import GroebnerData, _reduce, build_groebner, rref
+from .rewriting import GroebnerData, _reduce
 
 __all__ = [
     "GammaGraph",
@@ -147,7 +147,7 @@ def gr_algebra(pres: Presentation) -> Presentation:
     leads with coefficient 1; what survives is homogeneous.  Monomial
     relations pass through unchanged.
     """
-    g = build_groebner(pres)
+    g = rewriting.build_groebner(pres)
     rels_out = []
     for supp in g.special_rows:
         min_len = min(len(b) for b, _ in supp)
@@ -173,7 +173,7 @@ def _nullspace(rows, ncols):
         return [
             [Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)
         ]
-    reduced, pivots = rref(rows)
+    reduced, pivots = rewriting.rref(rows)
     basis = []
     for f in (j for j in range(ncols) if j not in pivots):
         v = [Fraction(0)] * ncols
@@ -217,7 +217,7 @@ def yoneda_presentation(pres: Presentation) -> Presentation:
     hypotheses fail — the dual then needs higher products and has no
     quadratic presentation here.
     """
-    g = build_groebner(pres)
+    g = rewriting.build_groebner(pres)
     report = hypotheses_check(g)
     if not report:
         raise HypothesesError(report.reasons)
@@ -233,8 +233,8 @@ def yoneda_presentation(pres: Presentation) -> Presentation:
                     if c
                 )
             )
-    key = pres.branch_order_key()
-    order = tuple(b.arrows[-1].name + "*" for b in sorted(branches_of(pres.quiver), key=key))
+    branches = sorted(presentation.branches_of(pres.quiver), key=pres.branch_order_key())
+    order = tuple(b.arrows[-1].name + "*" for b in branches)
     return Presentation(op, tuple(rels), order)
 
 

@@ -10,10 +10,11 @@ here next to the generic zigzag oracle for cross-checking.
 """
 from __future__ import annotations
 
+from . import zigzag
 from .chains import ChainGraph
 from .presentation import FormalSum, Path, compose
 from .rewriting import GroebnerData
-from .zigzag import BasedComplex, verify_sdr
+from .zigzag import BasedComplex
 
 __all__ = ["bar_words", "bar_differential", "classify_word", "BarSDR"]
 
@@ -195,7 +196,7 @@ class BarSDR:
         degree <= `max_degree` (all when None); returns violations."""
         cells = [w for ws in bar_words(self.gd, max_degree).values() for w in ws]
         cx = self.complex
-        bad = verify_sdr(cx, cells)
+        bad = zigzag.verify_sdr(cx, cells)
         for w in cells:
             # the closed forms are defined on chains and attached words only
             if isinstance(w, Path) or not (self.is_attached(w) or self.cg.is_chain(w)):

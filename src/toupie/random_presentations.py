@@ -14,8 +14,9 @@ import string
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .presentation import FormalSum, Presentation, Quiver, branches_of
-from .rewriting import GroebnerData, build_groebner, rref
+from . import presentation, rewriting
+from .presentation import FormalSum, Presentation, Quiver
+from .rewriting import GroebnerData
 
 __all__ = ["GeneratorConfig", "random_presentation", "random_groebner", "fixed_violators"]
 
@@ -47,7 +48,7 @@ def _draw_quiver(rng: random.Random, cfg: GeneratorConfig):
 
 
 def _draw_relations(rng: random.Random, cfg: GeneratorConfig, q: Quiver):
-    branches = branches_of(q)
+    branches = presentation.branches_of(q)
     eligible = [p for p in branches if len(p) >= 2]
     rels = []
     # whole-branch combinations, coefficient rows kept at full rank
@@ -60,7 +61,7 @@ def _draw_relations(rng: random.Random, cfg: GeneratorConfig, q: Quiver):
             for j in picks:
                 row[j] = Fraction(rng.choice(cfg.coeff_pool))
             rows.append(row)
-        rows, _ = rref(rows)
+        rows, _ = rewriting.rref(rows)
         for row in rows:
             rels.append(FormalSum((p, c) for p, c in zip(eligible, row) if c))
     # monomial subpaths
@@ -88,7 +89,7 @@ def random_presentation(seed: int, cfg: GeneratorConfig = GeneratorConfig()) -> 
         rng.shuffle(order)
         pres = Presentation(q, tuple(rels), order=tuple(order))
         try:
-            build_groebner(pres)
+            rewriting.build_groebner(pres)
         except ValueError:
             continue
         return pres
@@ -96,7 +97,7 @@ def random_presentation(seed: int, cfg: GeneratorConfig = GeneratorConfig()) -> 
 
 
 def random_groebner(seed: int, cfg: GeneratorConfig = GeneratorConfig()) -> GroebnerData:
-    return build_groebner(random_presentation(seed, cfg))
+    return rewriting.build_groebner(random_presentation(seed, cfg))
 
 
 def fixed_violators() -> list[tuple[str, Presentation]]:

@@ -27,7 +27,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .presentation import FormalSum, Path, Presentation, branches_of
+from . import presentation
+from .presentation import FormalSum, Path, Presentation
 
 __all__ = [
     "rref", "special_basis", "TipIdeal", "GroebnerData", "build_groebner", "classify_branches"
@@ -119,7 +120,7 @@ def special_basis(rows):
 def _split_relations(pres: Presentation):
     """Relations as (monomial paths, non-monomial combinations), with shape checks."""
     arrows = set(pres.quiver.arrows)
-    branch_set = set(branches_of(pres.quiver))
+    branch_set = set(presentation.branches_of(pres.quiver))
     mono, nonmono = [], []
     for rel in pres.relations:
         if rel.is_zero:
@@ -147,7 +148,7 @@ class TipIdeal:
     """The monomial ideal generated by a set of tips, indexed by branch interval."""
 
     def __init__(self, quiver, tips=()):
-        self.branches = branches_of(quiver)
+        self.branches = presentation.branches_of(quiver)
         self.at = {a: (b, i) for b, br in enumerate(self.branches) for i, a in enumerate(br.arrows)}
         self.ends = [[len(br) + 1] * (len(br) + 1) for br in self.branches]
         for t in tips:
@@ -373,7 +374,7 @@ def classify_branches(gd: GroebnerData) -> dict:
     """
     in_nonmono = {b for _, rel in gd.nonmono_rows for b in rel.terms}
     out = {}
-    for b in sorted(branches_of(gd.quiver), key=gd.order_key):
+    for b in sorted(presentation.branches_of(gd.quiver), key=gd.order_key):
         if len(b) == 1:
             out[b] = "arrow"
         elif b in in_nonmono:

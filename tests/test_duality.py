@@ -321,7 +321,6 @@ def test_ideal_equal_row_reduces_only_the_relations(monkeypatch):
         return real(rows)
 
     monkeypatch.setattr(toupie.rewriting, "rref", counting_rref)
-    monkeypatch.setattr(toupie.duality, "rref", counting_rref)
     assert ideal_equal(dd, gr)
     assert sizes and max(sizes) <= min(len(dd.relations), len(gr.relations))
 
