@@ -6,8 +6,9 @@ implementations live side by side: `transfer_delta` evaluates the recursive
 transfer formula with the zigzag maps (the oracle), while `closed_delta` cuts
 the supporting paths into chains directly and is cached once per arity
 (`coproduct_layer`).  The higher products on dual chains (`ExtAlgebra.m`) are
-the signed transpose of that layer, `closed_m` their one-term cross-check, and
-`stasheff_*_defects` verify the coherence identities on materialized tables.
+the signed transpose of that layer, and `stasheff_*_defects` verify the
+coherence identities on materialized tables, each built from the table's
+nonzero entries.
 
 Conventions (fixed once, used everywhere):
   * a word of k letters has degree k; the homotopy has degree +1;
@@ -24,7 +25,7 @@ from itertools import product
 
 from .chains import ChainGraph
 from .morse import BarSDR
-from .presentation import FormalSum, Path
+from .presentation import FormalSum
 from .rewriting import GroebnerData
 
 __all__ = [
@@ -52,9 +53,14 @@ class TorCoalgebra:
         self._bar_memo: dict = {}
         self._transfer_memo: dict = {}
         self._layers: dict = {}
+        self._all_chains = None
 
     def all_chains(self) -> list:
-        return [c for d in range(self.cg.max_chain_degree() + 1) for c in self.cg.chains(d)]
+        """Every chain, by degree; built once and shared, so read it without editing."""
+        if self._all_chains is None:
+            cg = self.cg
+            self._all_chains = [c for d in range(cg.max_chain_degree() + 1) for c in cg.chains(d)]
+        return self._all_chains
 
     def coproduct_layer(self, n: int) -> dict:
         """{chain: Delta_n(chain)} by `closed_delta`, zero values dropped; built once per arity."""
@@ -149,8 +155,7 @@ class ExtAlgebra:
 
     A dual basis element is keyed by its chain word; degree = letter count.
     `layer(n)` is the signed transpose of the cached coproduct layer of arity
-    n and `m` a lookup in it; `closed_m` is the independent one-term closed
-    form used to cross-check signs.
+    n and `m` a lookup in it.
     """
 
     def __init__(self, tor: TorCoalgebra):
@@ -200,44 +205,6 @@ class ExtAlgebra:
         # a copy, so callers that edit the value leave the cached layer intact
         return FormalSum(got.terms) if got else FormalSum()
 
-    def closed_m(self, duals) -> FormalSum:
-        """One-term product formula on composable tuples, for cross-checking.
-
-        All-arrow tuples sweep the relations containing the concatenated path
-        (sign (-1)^(n(n+1)/2), coefficient from the relation); otherwise the
-        concatenation must parse as a chain of the matching degree and the
-        value is that chain's dual with sign (-1)^M.
-        """
-        duals = tuple(tuple(f) for f in duals)
-        n = len(duals)
-        out = FormalSum()
-        if n < 2:
-            return out
-        paths = [self.cg.path(f) for f in duals]
-        if any(f.target != g.source for f, g in zip(paths, paths[1:])):
-            return out
-        concat = Path(paths[0].source, [a for p in paths for a in p.arrows])
-        degs = [len(f) - 1 for f in duals]
-        if not any(degs):
-            # every factor an arrow: the products live on the relations
-            sign = (-1) ** (n * (n + 1) // 2)
-            for t in self.gd.tips:
-                c = self.gd.tip_inverse(t).coeff(concat)
-                if c:
-                    out.add_term(self.cg.parse(t), sign * c)
-            return out
-        gamma = self.cg.parse(concat)
-        if gamma is None or len(gamma) != sum(degs) + 2:
-            return out
-        m_exp = (
-            degs[0]
-            + sum((n + i + 2) * degs[i] for i in range(n))
-            + sum(degs[i] * degs[j] for i in range(n) for j in range(i + 1, n))
-            + n * (n + 1) // 2
-        )
-        out.add_term(gamma, (-1) ** m_exp)
-        return out
-
 
 def coalgebra_table(tor: TorCoalgebra, n_max: int) -> dict:
     """arity -> {chain: Delta_n(chain)} with zero values dropped (arity 1 is empty);
@@ -262,33 +229,42 @@ def algebra_table(ext: ExtAlgebra, n_max: int) -> dict:
     return table
 
 
-def _table_get(table: dict, arity: int, key) -> FormalSum:
-    return table.get(arity, {}).get(key) or FormalSum()
-
-
 def stasheff_coalgebra_defects(table: dict, chains, n_max: int) -> list:
     """Coherence of the coproduct table: for each chain and n <= n_max, the signed
     sum of (id^r x Delta_s x id^t) Delta_{r+1+t} must vanish.  Returns (n, chain,
-    defect) triples; reads only the table, so corrupted tables report honestly.
+    defect) triples ordered by n, then by the chain's position in `chains`.
+
+    Each defect is built from the table's nonzero entries: every chain gamma
+    of `chains` with outer value Delta_a(gamma), word K in it, slot r and word
+    W in Delta_s(K[r]) adds one term K[:r] + W + K[r+1:] to (a - 1 + s, gamma).
+    Reads only the table, so corrupted tables report honestly.
     """
-    bad = []
-    for n in range(2, n_max + 1):
-        for gamma in chains:
-            total = FormalSum()
-            for s in range(2, n):
-                for r in range(0, n - s + 1):
-                    t = n - s - r
-                    outer = _table_get(table, r + 1 + t, gamma)
-                    sign = (-1) ** (r + s * t)
-                    for word, c in outer.terms.items():
-                        koszul = (-1) ** (s * sum(len(word[j]) for j in range(r)))
-                        for inner, c2 in _table_get(table, s, word[r]).terms.items():
-                            total.add_term(
-                                word[:r] + inner + word[r + 1 :], sign * koszul * c * c2
-                            )
-            if total:
-                bad.append((n, gamma, total))
-    return bad
+    pos = {c: i for i, c in enumerate(chains)}
+    totals: dict = {}
+    for a in range(2, n_max):
+        inner_arities = [(s, table.get(s, {})) for s in range(2, n_max + 2 - a)]
+        for gamma, outer in table.get(a, {}).items():
+            if gamma not in pos:
+                continue
+            for word, c in outer.terms.items():
+                pre = 0  # total degree of word[:r]
+                for r, x in enumerate(word):
+                    t = a - 1 - r
+                    for s, row in inner_arities:
+                        inner = row.get(x)
+                        if not inner:
+                            continue
+                        key = (a - 1 + s, pos[gamma])
+                        total = totals.get(key)
+                        if total is None:
+                            total = totals[key] = FormalSum()
+                        sign = -c if (r + s * (t + pre)) & 1 else c
+                        for w, c2 in inner.terms.items():
+                            total.add_term(word[:r] + w + word[r + 1 :], sign * c2)
+                        if not total.terms:
+                            del totals[key]
+                    pre += len(x)
+    return [(n, chains[i], totals[n, i]) for n, i in sorted(totals)]
 
 
 def stasheff_algebra_defects(table: dict, chains, n_max: int) -> list:
@@ -322,10 +298,14 @@ def stasheff_algebra_defects(table: dict, chains, n_max: int) -> list:
                         total = totals.get(tup)
                         if total is None:
                             total = totals[tup] = FormalSum()
+                        # a sum that cancels is dropped at once (every sum does
+                        # on a clean table) and starts afresh if reached again
                         total.add_scaled(outer, sign * c)
+                        if not total.terms:
+                            del totals[tup]
                 pre += len(gamma)
     pos = {c: i for i, c in enumerate(chains)}
     return sorted(
-        ((len(tup), tup, total) for tup, total in totals.items() if total),
+        ((len(tup), tup, total) for tup, total in totals.items()),
         key=lambda row: (row[0], [pos.get(c, len(pos)) for c in row[1]]),
     )

@@ -9,9 +9,7 @@ computed by the same projection recursion, now transporting the decorations.
 """
 from __future__ import annotations
 
-from . import morse
 from .chains import ChainGraph
-from .morse import bar_differential
 from .presentation import FormalSum, Path, compose, qdiv
 from .rewriting import GroebnerData
 
@@ -26,6 +24,8 @@ def betti_numbers(gd: GroebnerData, up_to: int) -> list[int]:
 
 class AnickResolution:
     def __init__(self, gd: GroebnerData):
+        from . import morse
+
         self.gd = gd
         self.cg = ChainGraph(gd)
         self._match = morse.build_matching(self.cg)
@@ -43,6 +43,8 @@ class AnickResolution:
             return got
         out = FormalSum()
         if not isinstance(cell, Path):
+            from .morse import bar_differential
+
             word = cell
             n = len(word)
             src = word[0].source

@@ -56,6 +56,9 @@ class ChainGraph:
             self.prefix_letters[a] = letters
         self._chains: dict = {}
         self._chain_paths: dict = {}
+        # the cuts of branch intervals into two or more chains, shared by every
+        # `decompositions` call, keyed (first arrow, length, blocks, degree)
+        self._walk: dict = {}
 
     # -- words ---------------------------------------------------------------
 
@@ -91,8 +94,11 @@ class ChainGraph:
         """All chains of the given degree (a d-chain has d+1 letters), d >= 0."""
         got = self._chains.get(degree)
         if got is None:
+            # one chain per first arrow, and arrow names are unique, so this key
+            # orders the layer as the underlying paths' sort keys do
             layer = [run[: degree + 1] for run in self.runs.values() if len(run) > degree]
-            got = self._chains[degree] = sorted(layer, key=lambda w: self.path(w).sort_key())
+            layer.sort(key=lambda w: (sum(map(len, w)), w[0].source, w[0].arrows[0].name))
+            got = self._chains[degree] = layer
         return got
 
     def max_chain_degree(self) -> int:
@@ -102,32 +108,34 @@ class ChainGraph:
         """All ways to cut the underlying path into n consecutive chains of
         total degree `degree`, in increasing order of the cut positions.
 
-        Returns tuples of chain words.  Cuts run over the path, not the letter
+        Returns tuples of chain words, in a list shared with later calls: read
+        it without editing.  Cuts run over the path, not the letter
         boundaries: a block may end mid-letter as long as it parses.
         """
         path = underlying_path(word)
-        arrows, size = path.arrows, len(path)
-        memo: dict = {}
+        return self._tails(path.arrows[0], len(path), n, degree)
 
-        def tails(x, left, deg):
-            # the cuts of path[x:] into `left` chains of total degree `deg`
-            key = (x, left, deg)
-            got = memo.get(key)
-            if got is None:
-                got = memo[key] = []
-                a = arrows[x]
-                run = self.runs[a]
-                # the blocks starting at x are the run prefixes that fit
-                for length, k in self.prefix_letters[a].items():
-                    end = x + length
-                    if k - 1 > deg or end > size:
-                        break
-                    if left == 1:
-                        if end == size and k - 1 == deg:
-                            got.append((run[:k],))
-                    elif end < size:
-                        head = run[:k]
-                        got.extend((head,) + t for t in tails(end, left - 1, deg - k + 1))
-            return got
-
-        return tails(0, n, degree)
+    def _tails(self, a, size: int, left: int, deg: int) -> list:
+        # the cuts of the branch interval of `size` arrows from arrow `a` into
+        # `left` chains of total degree `deg`; a d-chain spans >= d + 1 arrows
+        if size < deg + left:
+            return []
+        if left == 1:
+            k = self.prefix_letters[a].get(size)
+            return [(self.runs[a][:k],)] if k == deg + 1 else []
+        key = (a, size, left, deg)
+        got = self._walk.get(key)
+        if got is None:
+            got = self._walk[key] = []
+            run = self.runs[a]
+            ideal = self.gd.tip_ideal
+            b, i = ideal.at[a]
+            arrows = ideal.branches[b].arrows
+            # the first block is a run prefix that fits
+            for length, k in self.prefix_letters[a].items():
+                if k - 1 > deg or length >= size:
+                    break
+                head = run[:k]
+                rest = self._tails(arrows[i + length], size - length, left - 1, deg - k + 1)
+                got.extend((head,) + t for t in rest)
+        return got

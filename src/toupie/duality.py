@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import presentation, rewriting
-from .ainf import ExtAlgebra, TorCoalgebra
 from .presentation import (
     FormalSum,
     Path,
@@ -184,8 +183,8 @@ def _nullspace(rows, ncols):
     return basis
 
 
-def quadratic_blocks(ext: ExtAlgebra):
-    """Endpoint blocks of the product map on arrow-dual pairs.
+def quadratic_blocks(ext):
+    """Endpoint blocks of the product map of an `ainf.ExtAlgebra` on arrow-dual pairs.
 
     Returns (endpoints, slots, rows, kernel) per block: slots are the
     composable arrow pairs sharing those endpoints, rows the matrix of the
@@ -221,6 +220,8 @@ def yoneda_presentation(pres: Presentation) -> Presentation:
     report = hypotheses_check(g)
     if not report:
         raise HypothesesError(report.reasons)
+    from .ainf import ExtAlgebra, TorCoalgebra
+
     ext = ExtAlgebra(TorCoalgebra(g))
     op = opposite_quiver(pres.quiver)
     rels = []

@@ -239,6 +239,69 @@ def stasheff_algebra_defects_by_tuples(table: dict, tuples_by_arity: dict, n_max
     return bad
 
 
+def stasheff_coalgebra_defects_dense(table: dict, chains, n_max: int) -> list:
+    """Oracle for `stasheff_coalgebra_defects`: for each chain and n <= n_max,
+    the signed sum of (id^r x Delta_s x id^t) Delta_{r+1+t}, evaluated over
+    every (s, r) whether or not the table holds an entry there."""
+    bad = []
+    for n in range(2, n_max + 1):
+        for gamma in chains:
+            total = FormalSum()
+            for s in range(2, n):
+                for r in range(0, n - s + 1):
+                    t = n - s - r
+                    outer = _table_get(table, r + 1 + t, gamma)
+                    sign = (-1) ** (r + s * t)
+                    for word, c in outer.terms.items():
+                        koszul = (-1) ** (s * sum(len(word[j]) for j in range(r)))
+                        for inner, c2 in _table_get(table, s, word[r]).terms.items():
+                            total.add_term(
+                                word[:r] + inner + word[r + 1 :], sign * koszul * c * c2
+                            )
+            if total:
+                bad.append((n, gamma, total))
+    return bad
+
+
+def closed_m(ext, duals) -> FormalSum:
+    """Oracle for `ExtAlgebra.m`: the one-term product formula on composable tuples.
+
+    All-arrow tuples sweep the relations containing the concatenated path
+    (sign (-1)^(n(n+1)/2), coefficient from the relation); otherwise the
+    concatenation must parse as a chain of the matching degree and the
+    value is that chain's dual with sign (-1)^M.
+    """
+    duals = tuple(tuple(f) for f in duals)
+    n = len(duals)
+    out = FormalSum()
+    if n < 2:
+        return out
+    paths = [fold_path(f) for f in duals]
+    if any(f.target != g.source for f, g in zip(paths, paths[1:])):
+        return out
+    concat = fold_path(paths)
+    degs = [len(f) - 1 for f in duals]
+    if not any(degs):
+        # every factor an arrow: the products live on the relations
+        sign = (-1) ** (n * (n + 1) // 2)
+        for t in ext.gd.tips:
+            c = ext.gd.tip_inverse(t).coeff(concat)
+            if c:
+                out.add_term(ext.cg.parse(t), sign * c)
+        return out
+    gamma = ext.cg.parse(concat)
+    if gamma is None or len(gamma) != sum(degs) + 2:
+        return out
+    m_exp = (
+        degs[0]
+        + sum((n + i + 2) * degs[i] for i in range(n))
+        + sum(degs[i] * degs[j] for i in range(n) for j in range(i + 1, n))
+        + n * (n + 1) // 2
+    )
+    out.add_term(gamma, (-1) ** m_exp)
+    return out
+
+
 def listed_matching(cells_by_degree: dict, matching: dict):
     """`match` and `degree` for `BasedComplex`, read off listed data: cells by
     degree and {lower: upper} pairs.  An upper cell listed for two lower cells

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 
 from tests.conftest import (
+    closed_m,
     composable_tuples,
     lines_presentation,
     monomial_presentations,
     overlap_monomial_presentation,
     single_chain_presentation,
     stasheff_algebra_defects_by_tuples,
+    stasheff_coalgebra_defects_dense,
     three_branch_presentation,
 )
 from toupie.ainf import (
@@ -209,7 +211,7 @@ def test_corrupted_tables_leave_products_intact(overlap_monomial):
     assert coalgebra_table(tor, 3) == coalgebra_table(TorCoalgebra(tor.gd), 3)
     for n in (2, 3):
         for tup in composable_tuples(ext, n):
-            assert ext.m(tup) == ext.closed_m(tup), (n, tup)
+            assert ext.m(tup) == closed_m(ext, tup), (n, tup)
 
 
 def assert_product_rows_in_composable_order(pres):
@@ -269,7 +271,7 @@ def test_one_term_product_form_agrees(three_branch, overlap_monomial):
         ext = ExtAlgebra(TorCoalgebra(build_groebner(pres)))
         for n in range(2, 6):
             for tup in composable_tuples(ext, n):
-                assert ext.m(tup) == ext.closed_m(tup), (n, tup)
+                assert ext.m(tup) == closed_m(ext, tup), (n, tup)
 
 
 def test_stasheff_identities_hold(three_branch, overlap_monomial):
@@ -372,3 +374,74 @@ def test_stasheff_reads_a_non_composable_key(overlap_monomial):
     bad = stasheff_algebra_defects(atab, tor.all_chains(), 3)
     assert bad
     assert all(n == 3 and tup not in tuples[3] for n, tup, _ in bad)
+
+
+# -- coalgebra coherence from nonzero entries against the dense loop -----------
+
+
+def assert_coalgebra_defects_match_dense(pres, n_max: int, seed: int = 0) -> int:
+    """The coalgebra defects read off the table's entries equal the dense
+    loop's, order included, on the clean table and on three corruptions;
+    returns how many corrupted tables were caught."""
+    tor = TorCoalgebra(build_groebner(pres))
+    chains = tor.all_chains()
+    clean = coalgebra_table(tor, n_max)
+    assert stasheff_coalgebra_defects(clean, chains, n_max) == []
+    assert stasheff_coalgebra_defects_dense(clean, chains, n_max) == []
+    caught = 0
+    for table in corrupted_tables(clean, random.Random(seed)):
+        got = stasheff_coalgebra_defects(table, chains, n_max)
+        assert got == stasheff_coalgebra_defects_dense(table, chains, n_max)
+        caught += bool(got)
+        # only the chains asked about are checked
+        some = chains[::2]
+        assert stasheff_coalgebra_defects(table, some, n_max) == stasheff_coalgebra_defects_dense(
+            table, some, n_max
+        )
+    return caught
+
+
+@pytest.mark.parametrize(
+    "pres",
+    [
+        three_branch_presentation(),
+        overlap_monomial_presentation(),
+        single_chain_presentation([["d1", "d2", "d3"], ["d2", "d3", "d4"]]),
+        lines_presentation(1, 6, 2),
+        lines_presentation(2, 6, 3),
+    ],
+    ids=["three-branch", "overlap", "cubic-overlap", "line-6-2", "2xline-6-3"],
+)
+def test_coalgebra_defects_match_dense_loop(pres):
+    for seed in range(3):
+        assert_coalgebra_defects_match_dense(pres, 5, seed)
+
+
+def test_coalgebra_defects_match_dense_loop_on_random_draws():
+    for seed in range(10):
+        assert_coalgebra_defects_match_dense(random_presentation(seed), 4, seed)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_coalgebra_defects_match_dense_loop_on_every_corruption(k):
+    # each entry of the line(10,k) coproduct table doubled or dropped in turn
+    tor = TorCoalgebra(build_groebner(lines_presentation(1, 10, k)))
+    chains = tor.all_chains()
+    clean = coalgebra_table(tor, 5)
+    rng = random.Random(0)
+    entries = [(n, gamma) for n in sorted(clean) for gamma in clean[n]]
+    factors = {x for row in clean.values() for fs in row.values() for w in fs.terms for x in w}
+    assert len(entries) == {3: 34, 4: 21}[k]
+    for n, gamma in entries:
+        bad = {m: dict(row) for m, row in clean.items()}
+        if rng.random() < 0.5:
+            bad[n][gamma] = bad[n][gamma].scale(2)
+        else:
+            del bad[n][gamma]
+        got = stasheff_coalgebra_defects(bad, chains, 5)
+        assert got == stasheff_coalgebra_defects_dense(bad, chains, 5), (n, gamma)
+        # the identities read Delta_n(gamma) as an outer value and as an
+        # inner value under every word with gamma as a factor; on these
+        # tables the outer terms vanish on their own, so a corruption shows
+        # exactly when gamma is a factor (all but the top-degree chains)
+        assert bool(got) == (gamma in factors), (n, gamma)

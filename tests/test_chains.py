@@ -7,6 +7,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings
 
+from toupie.ainf import TorCoalgebra, coalgebra_table
 from toupie.chains import ChainGraph, underlying_path
 from toupie.presentation import Path, compose
 from toupie.random_presentations import random_presentation
@@ -349,14 +350,16 @@ def cut_subset_decompositions(gd, path, n):
     return out
 
 
-def assert_decompositions_are_cut_subsets(pres):
+def assert_decompositions_are_cut_subsets(pres, arities=range(2, 6)):
+    """On one ChainGraph, whose walk every call shares, asked arity by arity
+    in the given order."""
     cg = ChainGraph(build_groebner(pres))
     gd = cg.gd
     # (word, degree r) for every chain, and for every support path of every 1-chain
     words = [(w, d) for d in range(cg.max_chain_degree() + 1) for w in cg.chains(d)]
     words += [((q,), 1) for c in cg.chains(1) for q in gd.tip_inverse(underlying_path(c)).terms]
-    for word, r in words:
-        for n in range(2, 6):
+    for n in arities:
+        for word, r in words:
             every = cut_subset_decompositions(gd, underlying_path(word), n)
             for degree in range(r + 1):
                 want = [bs for bs in every if sum(len(b) - 1 for b in bs) == degree]
@@ -389,3 +392,50 @@ def test_decompositions_match_cut_subsets_on_random_draws():
 @settings(max_examples=30, deadline=None)
 def test_decompositions_match_cut_subsets_on_overlapping_monomials(pres):
     assert_decompositions_are_cut_subsets(pres)
+
+
+# -- the shared walk: one memo per ChainGraph, read in any order -----------------
+
+
+@pytest.mark.parametrize("arities", [(4, 3, 2), (2, 3, 4)], ids=["4-3-2", "2-3-4"])
+def test_shared_walk_matches_cut_subsets_in_any_arity_order(arities):
+    presentations = [
+        three_branch_presentation(),
+        overlap_monomial_presentation(),
+        single_chain_presentation([["d1", "d2", "d3"], ["d2", "d3", "d4"]]),
+        lines_presentation(1, 8, 3),
+        lines_presentation(2, 7, 2),
+        *(random_presentation(seed) for seed in range(10)),
+    ]
+    for pres in presentations:
+        assert_decompositions_are_cut_subsets(pres, arities)
+
+
+@pytest.mark.parametrize(
+    "pres",
+    [
+        three_branch_presentation(),
+        overlap_monomial_presentation(),
+        plain_beside_quadratic_presentation(6),
+        *(random_presentation(seed) for seed in range(20)),
+        *(lines_presentation(b, length, k) for b, length, k in ((2, 10, 2), (3, 9, 3), (4, 8, 4))),
+    ],
+    ids=[
+        "three-branch", "overlap", "plain-6", *(f"seed-{s}" for s in range(20)),
+        "2xline-10-2", "3xline-9-3", "4xline-8-4",
+    ],
+)
+def test_chain_layers_ordered_as_underlying_paths(pres):
+    cg = ChainGraph(build_groebner(pres))
+    for d in range(cg.max_chain_degree() + 2):
+        layer = cg.chains(d)
+        assert layer == sorted(layer, key=lambda w: underlying_path(w).sort_key()), d
+
+
+@pytest.mark.parametrize("length, k, bound", [(10, 2, 180), (10, 3, 247)])
+def test_walk_states_at_arity_four(length, k, bound):
+    # every coproduct of arity <= 4 on every chain reads one shared walk, and
+    # a suffix too short for its blocks is never stored
+    tor = TorCoalgebra(build_groebner(lines_presentation(1, length, k)))
+    coalgebra_table(tor, 4)
+    assert 0 < len(tor.cg._walk) <= bound

@@ -29,14 +29,14 @@ COMMAND_MODULES = {
     "branches": BASE,
     "tips": BASE,
     "chains": CHAINS,
-    "betti": MORSE | {"anick"},
+    "betti": CHAINS | {"anick"},
     "resolution-check": MORSE | {"anick"},
     "sdr-check": MORSE,
     "tor-coalgebra": AINF,
     "ext-products": AINF,
     "stasheff": AINF,
     "yoneda": AINF | {"duality"},
-    "gr": AINF | {"duality"},
+    "gr": BASE | {"duality"},
     "double-dual": AINF | {"duality"},
     "oracle-diff": AINF,
 }
