@@ -50,10 +50,10 @@ def fmt_sum(fs, fmt_key) -> str:
     return " + ".join(f"{c}*{fmt_key(k)}" for k, c in fs.items())
 
 
-def main() -> None:
+def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--arity", type=int, default=5, help="operation arity bound")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     pres = running_example()
     gd = build_groebner(pres)

@@ -15,7 +15,8 @@ Input schema::
       "order": ["a1", "b1"]
     }
 
-`order` is optional and ranks branches of equal length by first arrow.
+`order` is optional and ranks branches of equal length by first arrow: each
+entry is the first arrow of a branch, listed once.
 Coefficients are exact rationals written as ``"n"`` or ``"n/d"``.
 """
 
@@ -34,7 +35,7 @@ from pathlib import Path as FilePath
 from typing import Optional
 
 from . import __version__
-# the one module every command runs; each command imports the others it runs
+# every job parses with this module; `_run` and each command import what they run
 from .presentation import FormalSum, Path, Presentation, Quiver
 
 _RATIONAL = re.compile(r"^-?\d+(?:/[1-9]\d*)?$")
@@ -167,11 +168,18 @@ def parse_presentation(data, where: str = "input") -> Presentation:
 
     order = data.get("order", [])
     _expect(isinstance(order, list), "{}.order: expected a list", where)
+    listed = set()
     for i, nm in enumerate(order):
         _expect(
             isinstance(nm, str) and nm in by_name,
             "{}.order[{}]: unknown arrow {!r}", where, i, nm,
         )
+        # a branch starts at an arrow out of a vertex with no incoming arrow
+        _expect(
+            not quiver.inn[by_name[nm].src], "{}.order[{}]: arrow {!r} starts no branch", where, i, nm
+        )
+        _expect(nm not in listed, "{}.order[{}]: duplicate arrow {!r}", where, i, nm)
+        listed.add(nm)
     return Presentation(quiver, tuple(relations), order=tuple(order))
 
 
@@ -282,11 +290,9 @@ def render_report(report: dict, fmt: str) -> str:
 # commands
 
 
-def cmd_validate(job: JobSpec, pres: Presentation):
+def cmd_validate(job: JobSpec, pres: Presentation, gd):
     from .presentation import branches_of
-    from .rewriting import build_groebner
     branches = branches_of(pres.quiver)
-    gd = build_groebner(pres)
     result = {
         "source": branches[0].source,
         "sink": branches[0].target,
@@ -299,18 +305,16 @@ def cmd_validate(job: JobSpec, pres: Presentation):
     return "ok", result
 
 
-def cmd_branches(job: JobSpec, pres: Presentation):
-    from .rewriting import build_groebner, classify_branches
+def cmd_branches(job: JobSpec, pres: Presentation, gd):
+    from .rewriting import classify_branches
     rows = [
         {"arrows": list(b.names), "length": len(b), "classes": [cls]}
-        for b, cls in classify_branches(build_groebner(pres)).items()
+        for b, cls in classify_branches(gd).items()
     ]
     return "ok", {"branches": rows}
 
 
-def cmd_tips(job: JobSpec, pres: Presentation):
-    from .rewriting import build_groebner
-    gd = build_groebner(pres)
+def cmd_tips(job: JobSpec, pres: Presentation, gd):
     result = {
         "monomial": [list(t.names) for t in gd.mono_tips],
         "nonmonomial": [
@@ -322,10 +326,8 @@ def cmd_tips(job: JobSpec, pres: Presentation):
     return "ok", result
 
 
-def cmd_chains(job: JobSpec, pres: Presentation):
+def cmd_chains(job: JobSpec, pres: Presentation, gd):
     from .chains import ChainGraph
-    from .rewriting import build_groebner
-    gd = build_groebner(pres)
     cg = ChainGraph(gd)
     by_degree, counts = {}, []
     for d in range(job.degree + 1):
@@ -337,10 +339,8 @@ def cmd_chains(job: JobSpec, pres: Presentation):
     return "ok", {"counts": counts, "by_degree": by_degree}
 
 
-def cmd_betti(job: JobSpec, pres: Presentation):
+def cmd_betti(job: JobSpec, pres: Presentation, gd):
     from .anick import betti_numbers
-    from .rewriting import build_groebner
-    gd = build_groebner(pres)
     ranks = betti_numbers(gd, job.degree)
     # chains nest, so past the first empty degree every rank stays zero
     while len(ranks) > 1 and ranks[-1] == 0 and ranks[-2] == 0:
@@ -348,10 +348,8 @@ def cmd_betti(job: JobSpec, pres: Presentation):
     return "ok", {"betti": ranks}
 
 
-def cmd_resolution_check(job: JobSpec, pres: Presentation):
+def cmd_resolution_check(job: JobSpec, pres: Presentation, gd):
     from .anick import AnickResolution, betti_numbers
-    from .rewriting import build_groebner
-    gd = build_groebner(pres)
     rep = AnickResolution(gd).check(job.degree)
     ok = rep["square_zero"] and rep["augmented"] and rep["minimal"]
     result = {
@@ -365,10 +363,8 @@ def cmd_resolution_check(job: JobSpec, pres: Presentation):
     return ("ok" if ok else "violation"), result
 
 
-def cmd_sdr_check(job: JobSpec, pres: Presentation):
+def cmd_sdr_check(job: JobSpec, pres: Presentation, gd):
     from .morse import BarSDR
-    from .rewriting import build_groebner
-    gd = build_groebner(pres)
     bad = BarSDR(gd).verify(job.degree)
     return ("ok" if not bad else "violation"), {
         "max_degree": job.degree,
@@ -376,10 +372,8 @@ def cmd_sdr_check(job: JobSpec, pres: Presentation):
     }
 
 
-def cmd_tor_coalgebra(job: JobSpec, pres: Presentation):
+def cmd_tor_coalgebra(job: JobSpec, pres: Presentation, gd):
     from .ainf import TorCoalgebra, coalgebra_table
-    from .rewriting import build_groebner
-    gd = build_groebner(pres)
     table = coalgebra_table(TorCoalgebra(gd), job.arity)
     out = {
         str(n): [
@@ -401,10 +395,8 @@ def _product_rows(table: dict, n_max: int) -> dict:
     }
 
 
-def cmd_ext_products(job: JobSpec, pres: Presentation):
+def cmd_ext_products(job: JobSpec, pres: Presentation, gd):
     from .ainf import ExtAlgebra, TorCoalgebra, algebra_table
-    from .rewriting import build_groebner
-    gd = build_groebner(pres)
     table = algebra_table(ExtAlgebra(TorCoalgebra(gd)), job.arity)
     return "ok", {"products": _product_rows(table, job.arity)}
 
@@ -440,9 +432,7 @@ def _subjects(job: JobSpec, gd) -> list:
     return out
 
 
-def cmd_stasheff(job: JobSpec, pres: Presentation):
-    from .rewriting import build_groebner
-    gd = build_groebner(pres)
+def cmd_stasheff(job: JobSpec, pres: Presentation, gd):
     result, clean = {}, True
     for label, g in _subjects(job, gd):
         payload = _stasheff_payload(g, job.arity)
@@ -459,10 +449,8 @@ def _refusal_payload(gd, err, job: JobSpec) -> dict:
     return {"reasons": list(err.reasons), "products": _product_rows(table, job.arity)}
 
 
-def cmd_yoneda(job: JobSpec, pres: Presentation):
+def cmd_yoneda(job: JobSpec, pres: Presentation, gd):
     from .duality import HypothesesError, yoneda_presentation
-    from .rewriting import build_groebner
-    gd = build_groebner(pres)
     try:
         dual = yoneda_presentation(pres)
     except HypothesesError as err:
@@ -473,10 +461,9 @@ def cmd_yoneda(job: JobSpec, pres: Presentation):
     }
 
 
-def cmd_gr(job: JobSpec, pres: Presentation):
+def cmd_gr(job: JobSpec, pres: Presentation, gd):
     from .duality import gr_algebra
     from .rewriting import build_groebner
-    gd = build_groebner(pres)
     graded = gr_algebra(pres)
     gdim = build_groebner(graded).dim
     result = {
@@ -487,10 +474,8 @@ def cmd_gr(job: JobSpec, pres: Presentation):
     return ("ok" if gdim == gd.dim else "violation"), result
 
 
-def cmd_double_dual(job: JobSpec, pres: Presentation):
+def cmd_double_dual(job: JobSpec, pres: Presentation, gd):
     from .duality import HypothesesError, double_dual, gr_algebra, ideal_equal
-    from .rewriting import build_groebner
-    gd = build_groebner(pres)
     try:
         dd = double_dual(pres)
     except HypothesesError as err:
@@ -505,10 +490,8 @@ def cmd_double_dual(job: JobSpec, pres: Presentation):
     return ("ok" if eq else "violation"), result
 
 
-def cmd_oracle_diff(job: JobSpec, pres: Presentation):
+def cmd_oracle_diff(job: JobSpec, pres: Presentation, gd):
     from .ainf import TorCoalgebra
-    from .rewriting import build_groebner
-    gd = build_groebner(pres)
     result, clean = {}, True
     for label, g in _subjects(job, gd):
         tor = TorCoalgebra(g)
@@ -595,8 +578,11 @@ def _run(job: JobSpec) -> int:
         raise InputError(f"{job.input_path}:{err.lineno}:{err.colno}: {err.msg}") from err
     pres = parse_presentation(data, where=job.input_path)
 
+    from . import rewriting
     try:
-        status, result = _HANDLERS[job.command](job, pres)
+        # the one reduction of the job, read through the module so a patch reaches it
+        gd = rewriting.build_groebner(pres)
+        status, result = _HANDLERS[job.command](job, pres, gd)
     except ValueError as err:
         # domain checks (shape validation, duplicate relations, ...) land here
         status, result = "violation", {"reason": str(err)}

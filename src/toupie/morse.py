@@ -78,7 +78,8 @@ def classify_word(cg: ChainGraph, word):
             return "upper", word[: k - 1] + (merged,) + word[k + 1 :]
         pr_len = len(cut)
         if pr_len == len(w):
-            raise AssertionError(f"full-letter split would extend the chain prefix: {word}")
+            # w is the prefix's cut but no run letter, so a tip: no bar word has one
+            raise ValueError(f"letter {w!r} lies in the tip ideal: {word!r}")
     split = word[:k] + (w.slice(0, pr_len), w.slice(pr_len, len(w))) + word[k + 1 :]
     return "lower", split
 
@@ -132,32 +133,26 @@ class BarSDR:
         h = FormalSum()
         cur = word
         while True:
-            k = self.cg.prefix_chain_length(cur)
-            if k == len(cur):
+            kind, split = classify_word(self.cg, cur)
+            if kind == "critical":
                 return h, FormalSum.lift(cur)
-            w = cur[k]
-            if k == 0:
-                pr_len = 1
-            else:
-                cut = self.gd.tip_ideal.cut(cur[k - 1])
-                if cut is None or len(cut) >= len(w):
-                    raise ValueError(f"input not attached: {cur!r}")
-                pr_len = len(cut)
-            head, tail = w.slice(0, pr_len), w.slice(pr_len, len(w))
-            split = cur[:k] + (head, tail) + cur[k + 1 :]
+            if kind == "upper":
+                raise ValueError(f"input not attached: {cur!r}")
+            # the split cut letter k of cur into split[k] and split[k + 1]
+            k = self.cg.prefix_chain_length(cur)
             h.add_term(split, (-1) ** k)
             if self.cg.is_chain(split):
                 # can only happen on formal words whose own letters hide a tip
                 return h, FormalSum.lift(split)
             if k + 1 == len(cur):
                 return h, FormalSum()
-            merged = self.gd.normal_form(compose(tail, cur[k + 1]))
+            merged = self.gd.normal_form(compose(split[k + 1], cur[k + 1]))
             if merged.is_zero:
                 return h, FormalSum()
             ((q, c),) = merged.terms.items()
             if c != 1 or len(merged.terms) != 1:
                 raise AssertionError(f"merged letter not a single path: {merged!r}")
-            cur = cur[:k] + (head, q) + cur[k + 2 :]
+            cur = split[: k + 1] + (q,) + cur[k + 2 :]
 
     def sdr_h(self, word) -> FormalSum:
         """Closed homotopy; defined on chains (zero) and attached words."""

@@ -439,3 +439,36 @@ def test_walk_states_at_arity_four(length, k, bound):
     tor = TorCoalgebra(build_groebner(lines_presentation(1, length, k)))
     coalgebra_table(tor, 4)
     assert 0 < len(tor.cg._walk) <= bound
+
+
+def line_chain_count(length: int, k: int, d: int) -> int:
+    """Closed form for line(length, k), sharing no code with `ChainGraph`: a
+    d-chain spans (d/2)·k + 1 arrows for even d and ((d+1)/2)·k for odd d, and
+    one starts at every arrow that leaves it room."""
+    span = (d // 2) * k + 1 if d % 2 == 0 else (d + 1) // 2 * k
+    return max(length - span + 1, 0)
+
+
+def assert_line_chain_counts(length: int, k: int):
+    cg = ChainGraph(build_groebner(lines_presentation(1, length, k)))
+    top = max(d for d in range(length + 1) if line_chain_count(length, k, d))
+    assert cg.max_chain_degree() == top
+    # every degree up to one past the top
+    for d in range(top + 2):
+        assert len(cg.chains(d)) == line_chain_count(length, k, d), d
+
+
+@pytest.mark.parametrize(
+    "length, k",
+    [
+        (10, 2), (10, 3), (10, 4), (12, 7), (9, 3), (13, 4),
+        (17, 5), (11, 2), (30, 2), (40, 2), (7, 7), (8, 8),
+    ],
+)
+def test_line_chain_counts_match_closed_form(length, k):
+    assert_line_chain_counts(length, k)
+
+
+@pytest.mark.stress
+def test_line_chain_counts_match_closed_form_line_600_2():
+    assert_line_chain_counts(600, 2)

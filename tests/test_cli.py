@@ -346,6 +346,14 @@ _SCHEMA_ERRORS = {
     "order-not-list": (_doc(order="a"), ".order: expected a list"),
     "order-unknown-arrow": (_doc(order=["a", "c"]), ".order[1]: unknown arrow 'c'"),
     "order-not-string": (_doc(order=[["a"]]), ".order[0]: unknown arrow ['a']"),
+    "order-inner-arrow": (
+        dict(presentation_payload(three_branch_presentation()), order=["a2"]),
+        ".order[0]: arrow 'a2' starts no branch",
+    ),
+    "order-repeated": (
+        dict(presentation_payload(three_branch_presentation()), order=["b1", "b1", "a1"]),
+        ".order[1]: duplicate arrow 'b1'",
+    ),
 }
 
 
@@ -628,6 +636,32 @@ def test_recombined_monomials_report_as_monomials(capsys, tmp_path, matrix):
         assert (got["status"], got["result"]) == (want["status"], want["result"]), command
     _, tips = run_json(capsys, "tips", str(mixed))
     assert tips["result"]["nonmonomial"] == []
+
+
+@pytest.mark.parametrize(
+    "case, reason",
+    [
+        ("non-toupie", "inner vertex 'm' has degree (2, 1), expected (1, 1)"),
+        ("not-branch-form", "relation not of branch form: a1 must be a whole branch of length >= 2"),
+        ("dependent", "duplicate relations: non-monomial relations are linearly dependent"),
+    ],
+)
+def test_refused_reduction_gives_one_report_for_every_command(capsys, tmp_path, case, reason):
+    ab = (["a1", "a2"], ["b1", "b2"])
+    payloads = {
+        "not-branch-form": two_branch_payload([[(1, ["a1"]), (-1, ["b1"])]]),
+        "dependent": two_branch_payload([[(1, ab[0]), (-1, ab[1])], [(2, ab[0]), (-2, ab[1])]]),
+    }
+    if case == "non-toupie":
+        path = non_toupie_path(tmp_path)
+    else:
+        path = tmp_path / f"{case}.json"
+        path.write_text(json.dumps(payloads[case]))
+    outcomes = set()
+    for command in _COMMAND_NAMES:
+        code, report = run_json(capsys, command, str(path))
+        outcomes.add((code, report["status"], json.dumps(report["result"], sort_keys=True)))
+    assert outcomes == {(1, "violation", json.dumps({"reason": reason}))}
 
 
 json_leaves = (

@@ -114,6 +114,15 @@ def test_closed_h_rejects_unattached(three_branch):
         sdr.sdr_h((q.path("a1"), q.path("a2")))
     with pytest.raises(ValueError, match="not attached"):
         sdr.sdr_p((q.path("a1"), q.path("a2")))
+    # (d2, d3d4): the second letter is the first one's cut, and a tip; no bar
+    # word has such a letter, so the split rule and the closed maps refuse it
+    gd = build_groebner(single_chain_presentation([["d1", "d2"], ["d3", "d4"]]))
+    sdr = BarSDR(gd)
+    word = (gd.quiver.path("d2"), gd.quiver.path("d3", "d4"))
+    assert sdr.is_attached(word) and not sdr.cg.is_chain(word)
+    for refuse in (sdr.sdr_h, sdr.sdr_p, lambda w: classify_word(sdr.cg, w)):
+        with pytest.raises(ValueError, match="lies in the tip ideal"):
+            refuse(word)
 
 
 def test_verify_catches_corrupted_closed_p(three_branch):

@@ -16,3 +16,10 @@ def test_sweep_random_runs_clean(capsys):
     sweep = load_script("sweep_random")
     assert sweep.main(["--seeds", "2", "--arity", "3"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "2 seeds, 0 with failures"
+
+
+def test_demo_running_example_runs_clean(capsys):
+    demo = load_script("demo_running_example")
+    assert demo.main([]) is None
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "double dual generates the same ideal as gr: True"
