@@ -11,10 +11,12 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "presentation": (
-        "Arrow", "FormalSum", "Path", "Presentation", "Quiver", "branches_of", "compose",
+        "Arrow", "FormalSum", "Path", "Presentation", "Quiver", "branches_of", "compose", "qdiv",
         "validate_toupie",
     ),
-    "rewriting": ("GroebnerData", "build_groebner", "classify_branches", "rref", "special_basis"),
+    "rewriting": (
+        "GroebnerData", "TipIdeal", "build_groebner", "classify_branches", "rref", "special_basis",
+    ),
     "chains": ("ChainGraph", "underlying_path"),
     "zigzag": ("BasedComplex", "verify_sdr"),
     "morse": ("BarSDR", "bar_differential", "bar_words", "classify_word"),

@@ -51,7 +51,6 @@ class TorCoalgebra:
         self.sdr = BarSDR(gd)
         self.cg: ChainGraph = self.sdr.cg
         self._bar_memo: dict = {}
-        self._transfer_memo: dict = {}
         self._layers: dict = {}
         self._all_chains = None
 
@@ -105,10 +104,6 @@ class TorCoalgebra:
     def transfer_delta(self, n: int, chain) -> FormalSum:
         """Delta_n(chain) through the zigzag: include, coproduct, project each slot."""
         chain = tuple(chain)
-        key = (n, chain)
-        got = self._transfer_memo.get(key)
-        if got is not None:
-            return got
         out = FormalSum()
         if n >= 2:
             cx = self.sdr.complex
@@ -120,7 +115,6 @@ class TorCoalgebra:
                         for _, pc in combo:
                             coeff *= pc
                         out.add_term(tuple(k for k, _ in combo), coeff)
-        self._transfer_memo[key] = out
         return out
 
     # -- closed form ---------------------------------------------------------

@@ -31,16 +31,12 @@ class AnickResolution:
         self._match = morse.build_matching(self.cg)
         self._status: dict = {}
         self._p_cache: dict = {}
-        self._diff_cache: dict = {}
         self._d_cache: dict = {}
 
     # -- the two-sided word differential -------------------------------------
 
     def bimodule_diff(self, cell) -> FormalSum:
         """Terms (left, cell, right); ends split off, middles merge in normal form."""
-        got = self._diff_cache.get(cell)
-        if got is not None:
-            return got
         out = FormalSum()
         if not isinstance(cell, Path):
             from .morse import bar_differential
@@ -58,7 +54,6 @@ class AnickResolution:
                 (Path(src, ()), word[:-1] if n > 1 else Path(src, ()), word[-1]),
                 (-1) ** n,
             )
-        self._diff_cache[cell] = out
         return out
 
     def _sandwich(self, left: Path, right: Path, fs: FormalSum) -> FormalSum:

@@ -54,7 +54,6 @@ class ChainGraph:
                 letters[size] = len(run)
             self.runs[a] = tuple(run)
             self.prefix_letters[a] = letters
-        self._chains: dict = {}
         self._chain_paths: dict = {}
         # the cuts of branch intervals into two or more chains, shared by every
         # `decompositions` call, keyed (first arrow, length, blocks, degree)
@@ -92,14 +91,11 @@ class ChainGraph:
 
     def chains(self, degree: int):
         """All chains of the given degree (a d-chain has d+1 letters), d >= 0."""
-        got = self._chains.get(degree)
-        if got is None:
-            # one chain per first arrow, and arrow names are unique, so this key
-            # orders the layer as the underlying paths' sort keys do
-            layer = [run[: degree + 1] for run in self.runs.values() if len(run) > degree]
-            layer.sort(key=lambda w: (sum(map(len, w)), w[0].source, w[0].arrows[0].name))
-            got = self._chains[degree] = layer
-        return got
+        layer = [run[: degree + 1] for run in self.runs.values() if len(run) > degree]
+        # one chain per first arrow, and arrow names are unique, so this key
+        # orders the layer as the underlying paths' sort keys do
+        layer.sort(key=lambda w: (sum(map(len, w)), w[0].source, w[0].arrows[0].name))
+        return layer
 
     def max_chain_degree(self) -> int:
         return max(map(len, self.runs.values()), default=0) - 1

@@ -168,19 +168,10 @@ def parse_presentation(data, where: str = "input") -> Presentation:
 
     order = data.get("order", [])
     _expect(isinstance(order, list), "{}.order: expected a list", where)
-    listed = set()
-    for i, nm in enumerate(order):
-        _expect(
-            isinstance(nm, str) and nm in by_name,
-            "{}.order[{}]: unknown arrow {!r}", where, i, nm,
-        )
-        # a branch starts at an arrow out of a vertex with no incoming arrow
-        _expect(
-            not quiver.inn[by_name[nm].src], "{}.order[{}]: arrow {!r} starts no branch", where, i, nm
-        )
-        _expect(nm not in listed, "{}.order[{}]: duplicate arrow {!r}", where, i, nm)
-        listed.add(nm)
-    return Presentation(quiver, tuple(relations), order=tuple(order))
+    try:
+        return Presentation(quiver, tuple(relations), order=tuple(order))
+    except ValueError as err:  # a bad `order` entry, located as "order[i]: ..."
+        raise InputError(f"{where}.{err}") from err
 
 
 # ---------------------------------------------------------------------------
@@ -546,11 +537,16 @@ _COMMAND_NAMES = tuple(_HANDLERS)
 def _check_golden(path_str: str, out_bytes: bytes) -> int:
     import difflib
     golden = FilePath(path_str)
-    if not golden.exists():
-        golden.write_bytes(out_bytes)
+    try:
+        want = golden.read_bytes() if golden.exists() else None
+        if want is None:
+            golden.write_bytes(out_bytes)
+    except OSError as err:
+        # a missing directory or a directory in place of the file
+        raise InputError(f"{path_str}: {err.strerror or err}") from err
+    if want is None:
         print(f"toupie: golden file written: {path_str}", file=sys.stderr)
         return 0
-    want = golden.read_bytes()
     if want == out_bytes:
         return 0
     diff = difflib.unified_diff(

@@ -168,10 +168,6 @@ def opposite_quiver(q: Quiver) -> Quiver:
 
 def _nullspace(rows, ncols):
     """Basis of the kernel of the matrix (one generator per free column)."""
-    if not rows:
-        return [
-            [Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)
-        ]
     reduced, pivots = rewriting.rref(rows)
     basis = []
     for f in (j for j in range(ncols) if j not in pivots):

@@ -372,9 +372,10 @@ def branches_of(q: Quiver) -> tuple[Path, ...]:
 class Presentation:
     """A toupie algebra kQ/I: quiver, relations, and a tie-breaking branch order.
 
-    `order` lists first-arrow names of branches; it breaks ties between
-    equal-length branches when relations are put in row-reduced form.  Branches
-    not listed keep quiver order after the listed ones.
+    `order` lists first-arrow names of branches, each at most once (ValueError
+    otherwise); it breaks ties between equal-length branches when relations
+    are put in row-reduced form.  Branches not listed keep quiver order after
+    the listed ones.
     """
 
     quiver: Quiver
@@ -382,6 +383,19 @@ class Presentation:
     order: tuple[str, ...] = ()
     # the reduced relations, filled by rewriting.build_groebner
     _groebner: object = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        by_name = self.quiver.arrow_by_name
+        listed = set()
+        for i, name in enumerate(self.order):
+            if not (isinstance(name, str) and name in by_name):
+                raise ValueError(f"order[{i}]: unknown arrow {name!r}")
+            # a branch starts at an arrow out of a vertex with no incoming arrow
+            if self.quiver.inn[by_name[name].src]:
+                raise ValueError(f"order[{i}]: arrow {name!r} starts no branch")
+            if name in listed:
+                raise ValueError(f"order[{i}]: duplicate arrow {name!r}")
+            listed.add(name)
 
     def branch_order_key(self):
         # longer branches first, then user order, then quiver order

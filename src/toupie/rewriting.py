@@ -147,12 +147,10 @@ def _split_relations(pres: Presentation):
 class TipIdeal:
     """The monomial ideal generated by a set of tips, indexed by branch interval."""
 
-    def __init__(self, quiver, tips=()):
+    def __init__(self, quiver):
         self.branches = presentation.branches_of(quiver)
         self.at = {a: (b, i) for b, br in enumerate(self.branches) for i, a in enumerate(br.arrows)}
         self.ends = [[len(br) + 1] * (len(br) + 1) for br in self.branches]
-        for t in tips:
-            self.add(t)
 
     def add(self, tip: Path) -> None:
         b, i = self.at[tip.arrows[0]]
@@ -181,7 +179,7 @@ class TipIdeal:
 class GroebnerData:
     """Tips, tails and the nontip basis of a presentation."""
 
-    def __init__(self, quiver, order_key, mono_tips, nonmono_rows, branch_order, matrix):
+    def __init__(self, quiver, order_key, mono_tips, nonmono_rows, branch_order, tip_ideal):
         self.quiver = quiver
         # the presentation's branch order key; the presentation itself is not
         # kept, as it holds this data (no reference cycle)
@@ -189,12 +187,11 @@ class GroebnerData:
         self.mono_tips: tuple[Path, ...] = tuple(sorted(mono_tips, key=Path.sort_key))
         # each row: (tip branch, full relation with tip coefficient 1)
         self.nonmono_rows: tuple[tuple[Path, FormalSum], ...] = tuple(nonmono_rows)
+        # the branches of the reduced rows, in the presentation's branch order
         self.branch_order: tuple[Path, ...] = tuple(branch_order)
-        # the reduced coefficient rows of nonmono_rows, columns in branch_order
-        self.matrix: tuple[tuple[Fraction, ...], ...] = tuple(tuple(r) for r in matrix)
         self.nonmono_by_tip = {t: rel for t, rel in self.nonmono_rows}
         self.tips = frozenset(self.mono_tips) | frozenset(self.nonmono_by_tip)
-        self.tip_ideal = TipIdeal(self.quiver, self.tips)
+        self.tip_ideal: TipIdeal = tip_ideal  # generated by self.tips
         self._nf_cache: dict = {}
 
     def tip_inverse(self, t: Path) -> FormalSum:
@@ -236,33 +233,30 @@ class GroebnerData:
     @property
     def nontips_by_degree(self) -> dict[int, tuple[Path, ...]]:
         """The nontips of each length: the intervals [i, j) of a branch b with j < ends[b][i]."""
-        got = getattr(self, "_nontips", None)
-        if got is None:
-            by_deg: dict[int, list[Path]] = {0: [Path(v, ()) for v in self.quiver.vertices]}
-            ti = self.tip_ideal
-            for br, ends in zip(ti.branches, ti.ends):
-                for i in range(len(br)):
-                    for j in range(i + 1, ends[i]):
-                        by_deg.setdefault(j - i, []).append(br.slice(i, j))
-            got = self._nontips = {
-                d: tuple(sorted(ps, key=Path.sort_key)) for d, ps in sorted(by_deg.items())
-            }
-        return got
+        by_deg: dict[int, list[Path]] = {0: [Path(v, ()) for v in self.quiver.vertices]}
+        ti = self.tip_ideal
+        for br, ends in zip(ti.branches, ti.ends):
+            for i in range(len(br)):
+                for j in range(i + 1, ends[i]):
+                    by_deg.setdefault(j - i, []).append(br.slice(i, j))
+        return {d: tuple(sorted(ps, key=Path.sort_key)) for d, ps in sorted(by_deg.items())}
 
     @property
     def special_rows(self) -> tuple[tuple[tuple[Path, Fraction], ...], ...]:
         """Support of each special-basis relation, branch blocks longest first."""
         got = getattr(self, "_special", None)
         if got is None:
+            rows = [[rel.coeff(b) for b in self.branch_order] for _, rel in self.nonmono_rows]
             got = self._special = tuple(
                 tuple((self.branch_order[j], c) for j, c in enumerate(row) if c)
-                for row in special_basis(self.matrix)
+                for row in special_basis(rows)
             )
         return got
 
     @property
     def nontips(self) -> tuple[Path, ...]:
-        return tuple(p for d in sorted(self.nontips_by_degree) for p in self.nontips_by_degree[d])
+        # one read: the property builds its dict afresh, keys in increasing length
+        return tuple(p for ps in self.nontips_by_degree.values() for p in ps)
 
     @property
     def dim(self) -> int:
@@ -347,7 +341,9 @@ def _reduce(pres: Presentation) -> tuple[GroebnerData, bool]:
     # No other row uses its pivot column, so the column goes with it.
     single = {c for row, c in zip(reduced, pivots) if sum(map(bool, row)) == 1}
     if single:
-        mono_tips.extend(involved[c] for c in single)
+        for c in single:
+            ideal.add(involved[c])
+            mono_tips.append(involved[c])
         keep = [j for j in range(len(involved)) if j not in single]
         kept = [(row, c) for row, c in zip(reduced, pivots) if c not in single]
         col = {j: i for i, j in enumerate(keep)}
@@ -359,7 +355,8 @@ def _reduce(pres: Presentation) -> tuple[GroebnerData, bool]:
     for row, pc in zip(reduced, pivots):
         rel = FormalSum({involved[j]: c for j, c in enumerate(row) if c})
         nonmono_rows.append((involved[pc], rel))
-    return GroebnerData(pres.quiver, key, mono_tips, nonmono_rows, involved, reduced), independent
+        ideal.add(involved[pc])
+    return GroebnerData(pres.quiver, key, mono_tips, nonmono_rows, involved, ideal), independent
 
 
 def classify_branches(gd: GroebnerData) -> dict:

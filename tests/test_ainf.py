@@ -23,6 +23,7 @@ from toupie.ainf import (
     stasheff_algebra_defects,
     stasheff_coalgebra_defects,
 )
+from toupie.anick import AnickResolution
 from toupie.chains import underlying_path
 from toupie.presentation import FormalSum
 from toupie.random_presentations import random_presentation
@@ -445,3 +446,71 @@ def test_coalgebra_defects_match_dense_loop_on_every_corruption(k):
         # tables the outer terms vanish on their own, so a corruption shows
         # exactly when gamma is a factor (all but the top-degree chains)
         assert bool(got) == (gamma in factors), (n, gamma)
+
+
+def line_product_rows(length: int, k: int, n: int) -> int:
+    """Nonzero rows of m_n on line(length, k), counted from chain spans alone,
+    sharing no code with `chains` or `ainf`.  A d-chain is any run of span(d)
+    arrows, so a row is n adjacent runs of degrees d_1..d_n whose spans add up
+    to the span of a chain of degree d_1 + ... + d_n + 1, their join.  Each row
+    has that one chain as its value, so no row cancels."""
+
+    def span(d):
+        return (d // 2) * k + 1 if d % 2 == 0 else (d + 1) // 2 * k
+
+    def rows(left, total, degree):
+        if left == 0:
+            whole = span(degree + 1)
+            return max(length - whole + 1, 0) if whole == total else 0
+        count, d = 0, 0
+        while total + span(d) <= length:
+            count += rows(left - 1, total + span(d), degree + d)
+            d += 1
+        return count
+
+    return rows(n, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "copies, length, k, want",
+    [
+        (1, 10, 2, {2: 165}),
+        (1, 10, 3, {2: 45, 3: 35}),
+        (1, 10, 4, {2: 23, 4: 19}),
+        (1, 12, 5, {2: 25, 5: 23}),
+        (1, 12, 6, {2: 13, 6: 13}),
+        (2, 7, 3, {2: 28, 3: 22}),
+        (2, 9, 4, {2: 32, 4: 28}),
+    ],
+)
+def test_monomial_lines_multiply_only_in_arities_two_and_k(copies, length, k, want):
+    # relations all monomials of one length k: only m_2 and m_k are nonzero,
+    # the pattern of Tamaroff's A-infinity structure on monomial algebras
+    ext = ExtAlgebra(TorCoalgebra(build_groebner(lines_presentation(copies, length, k))))
+    table = algebra_table(ext, 6)
+    assert {n: len(rows) for n, rows in table.items() if rows} == want
+    # the copies are disjoint, and each holds the rows of one line
+    assert want == {n: copies * c for n in range(2, 7) if (c := line_product_rows(length, k, n))}
+
+
+@pytest.mark.parametrize("name", ["chains", "transfer_delta", "bimodule_diff", "nontips_by_degree"])
+def test_each_call_hands_out_a_fresh_result(name):
+    # a result edited in place leaves the answer of the next call intact
+    gd = build_groebner(three_branch_presentation())
+    tor = TorCoalgebra(gd)
+    resolution = AnickResolution(gd)
+    chain = tor.cg.chains(1)[0]
+    read = {
+        "chains": lambda: tor.cg.chains(1),
+        "transfer_delta": lambda: tor.transfer_delta(2, chain),
+        "bimodule_diff": lambda: resolution.bimodule_diff(chain),
+        "nontips_by_degree": lambda: gd.nontips_by_degree,
+    }[name]
+    got = read()
+    if isinstance(got, FormalSum):
+        want = FormalSum(got.terms)
+        got.terms.clear()
+    else:
+        want = type(got)(got)
+        got.clear()
+    assert want and read() == want

@@ -445,6 +445,19 @@ def test_golden_bless_match_mismatch(capsys, tmp_path, e1_path):
     assert "differs from golden" in err and "---" in err
 
 
+@pytest.mark.parametrize(
+    "where, reason",
+    [("missing/golden.txt", "No such file or directory"), (".", "Is a directory")],
+    ids=["missing-directory", "directory"],
+)
+def test_unusable_golden_path_is_an_input_error(capsys, tmp_path, e1_path, where, reason):
+    # exit 2 with the path and the reason, as for an unreadable input file
+    golden = tmp_path / where
+    code, _, err = run_cli(capsys, "betti", e1_path, "--golden", str(golden))
+    assert code == 2
+    assert err == f"toupie: error: {golden}: {reason}\n"
+
+
 def test_chains_and_tips(capsys, e1_path):
     code, report = run_json(capsys, "chains", e1_path)
     assert code == 0

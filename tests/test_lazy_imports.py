@@ -1,6 +1,7 @@
 """What a process imports: `import toupie` loads no submodule, and a CLI
 command loads only the modules it runs.  Each check runs in a fresh
 interpreter, since this test session has already imported every module."""
+import importlib
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import toupie
 from tests.conftest import three_branch_presentation
 from toupie.cli import _COMMAND_NAMES, presentation_payload
 
@@ -101,7 +103,15 @@ print(json.dumps([wrong, subs, unbound, undir, hasattr(toupie, "no_such_name"), 
 """.replace("SUBS", repr(SUBMODULES))
     wrong, subs, unbound, undir, unknown, count = run_fresh(code)
     assert (wrong, subs, unbound, undir, unknown) == ([], [], [], [], False)
-    assert count == 44
+    assert count == 46
+
+
+def test_exports_list_every_module_all():
+    # `toupie._EXPORTS` is the one list of public names: each module's `__all__`
+    assert set(toupie._EXPORTS) == set(SUBMODULES)
+    for module in SUBMODULES:
+        names = importlib.import_module("toupie." + module).__all__
+        assert sorted(names) == sorted(toupie._EXPORTS[module]), module
 
 
 # A wrapped function called from another module must be read through its module

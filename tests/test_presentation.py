@@ -447,6 +447,23 @@ def test_branches(three_branch):
     assert sorted(b.names for b in bs) == [("a1", "a2", "a3"), ("b1", "b2"), ("c1", "c2")]
 
 
+@pytest.mark.parametrize(
+    "order, message",
+    [
+        (("zz",), "order[0]: unknown arrow 'zz'"),
+        (("a1", 3), "order[1]: unknown arrow 3"),
+        ((["a1"],), "order[0]: unknown arrow ['a1']"),
+        (("a2",), "order[0]: arrow 'a2' starts no branch"),
+        (("b1", "b1", "a1"), "order[1]: duplicate arrow 'b1'"),
+    ],
+    ids=["unknown", "not-a-string", "unhashable", "inner-arrow", "repeated"],
+)
+def test_presentation_rejects_a_bad_order(three_branch, order, message):
+    with pytest.raises(ValueError) as info:
+        Presentation(three_branch.quiver, three_branch.relations, order)
+    assert str(info.value) == message
+
+
 def test_classify_branches(three_branch):
     classes = classify_branches(build_groebner(three_branch))
     # descending length, ties by the a > b > c order

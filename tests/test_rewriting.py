@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from toupie.presentation import FormalSum, Path, Presentation, Quiver, compose
 from toupie.random_presentations import random_presentation
-from toupie.rewriting import build_groebner, classify_branches, rref, special_basis
+from toupie.rewriting import GroebnerData, build_groebner, classify_branches, rref, special_basis
 from tests.conftest import (
     all_paths,
     lines_presentation,
@@ -330,11 +330,13 @@ def _dim_subjects():
 
 
 @pytest.mark.parametrize("pres", _dim_subjects())
-def test_dim_counts_the_nontip_basis_without_building_it(pres):
+def test_dim_counts_the_nontip_basis_without_building_it(pres, monkeypatch):
     gd = build_groebner(pres)
-    dim = gd.dim
     # the count reads the tip ideal only: the nontip paths stay unbuilt
-    assert getattr(gd, "_nontips", None) is None
+    unbuilt = property(lambda self: pytest.fail("dim built the nontips"))
+    monkeypatch.setattr(GroebnerData, "nontips_by_degree", unbuilt)
+    dim = gd.dim
+    monkeypatch.undo()
     assert dim == len(gd.nontips)
 
 
