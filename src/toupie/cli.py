@@ -332,7 +332,9 @@ def cmd_chains(job: JobSpec, pres: Presentation, gd):
 
 def cmd_betti(job: JobSpec, pres: Presentation, gd):
     from .anick import betti_numbers
-    ranks = betti_numbers(gd, job.degree)
+    # a d-chain spans at least d + 1 arrows of one branch, so no chain has a
+    # degree at or above the arrow count: past it every rank is zero
+    ranks = betti_numbers(gd, min(job.degree, len(gd.quiver.arrows) + 1))
     # chains nest, so past the first empty degree every rank stays zero
     while len(ranks) > 1 and ranks[-1] == 0 and ranks[-2] == 0:
         ranks.pop()
@@ -580,7 +582,7 @@ def _run(job: JobSpec) -> int:
         gd = rewriting.build_groebner(pres)
         status, result = _HANDLERS[job.command](job, pres, gd)
     except ValueError as err:
-        # domain checks (shape validation, duplicate relations, ...) land here
+        # domain checks (toupie shape, relations not of branch form, ...) land here
         status, result = "violation", {"reason": str(err)}
 
     report = build_report(job, digest, status, result)

@@ -26,7 +26,7 @@ from .presentation import (
     _term_key,
     qdiv,
 )
-from .rewriting import GroebnerData, _reduce
+from .rewriting import GroebnerData
 
 __all__ = [
     "GammaGraph",
@@ -248,18 +248,6 @@ def double_dual(pres: Presentation) -> Presentation:
     return Presentation(q, rels, tuple(n[:-2] for n in twice.order))
 
 
-def _reduced_data(p: Presentation, order: tuple[str, ...]):
-    """The monomial tips and reduced non-monomial rows of p under `order`.
-
-    Unlike `build_groebner` this answers for linearly dependent relations too:
-    the reduced rows span them either way.
-    """
-    if p.order != order:
-        p = Presentation(p.quiver, p.relations, order)
-    gd = p._groebner if p._groebner is not None else _reduce(p)[0]
-    return gd.mono_tips, gd.nonmono_rows
-
-
 def ideal_equal(p1: Presentation, p2: Presentation) -> bool:
     """Do two presentations of algebras on the same quiver cut the same ideal?
 
@@ -268,11 +256,14 @@ def ideal_equal(p1: Presentation, p2: Presentation) -> bool:
     are those in the ideal of the minimal monomial tips; and a nontrivial path
     times a whole-branch relation is 0, so the ideal is that monomial ideal
     plus the span of the reduced rows, in reduced row echelon form over the
-    ordered branches.  Raises when the quivers differ (ideal comparison needs
-    a shared path basis) or, as `build_groebner` does, when a relation is not
-    of branch form.
+    ordered branches.  Both sides are reduced by `build_groebner`, so this
+    raises when it does (a relation not of branch form), and when the quivers
+    differ (ideal comparison needs a shared path basis).
     """
     q1, q2 = p1.quiver, p2.quiver
     if q1.vertices != q2.vertices or q1.arrows != q2.arrows:
         raise ValueError("presentations live on different quivers")
-    return _reduced_data(p1, p1.order) == _reduced_data(p2, p1.order)
+    if p2.order != p1.order:
+        p2 = Presentation(q2, p2.relations, p1.order)
+    g1, g2 = rewriting.build_groebner(p1), rewriting.build_groebner(p2)
+    return (g1.mono_tips, g1.nonmono_rows) == (g2.mono_tips, g2.nonmono_rows)

@@ -271,29 +271,26 @@ class GroebnerData:
 def build_groebner(pres: Presentation) -> GroebnerData:
     """Reduce the relations to tip/tail form (see `_reduce`).
 
-    Every non-monomial relation must contribute a pivot, otherwise the input
-    was dependent and this raises.  The result is stored on `pres`, so the
-    reduction runs once per presentation however often this is asked.
+    Every generating set is accepted, linearly dependent ones included: the
+    result depends only on the ideal and the branch order.  It is stored on
+    `pres`, so the reduction runs once per presentation however often this is
+    asked.
     """
     if pres._groebner is None:
-        gd, independent = _reduce(pres)
-        if not independent:
-            raise ValueError("duplicate relations: non-monomial relations are linearly dependent")
-        object.__setattr__(pres, "_groebner", gd)  # Presentation is frozen
+        object.__setattr__(pres, "_groebner", _reduce(pres))  # Presentation is frozen
     return pres._groebner
 
 
-def _reduce(pres: Presentation) -> tuple[GroebnerData, bool]:
-    """The reduced data of `pres`, and whether every non-monomial relation
-    contributed a pivot (the relations were linearly independent).
+def _reduce(pres: Presentation) -> GroebnerData:
+    """The reduced data of `pres`.
 
-    Non-monomial relations are first reduced modulo the monomial ones: branch
-    terms containing a monomial tip are dropped, and a relation left with a
-    single term turns that branch into a new monomial relation (repeat until
-    stable).  The survivors are row-reduced over the ordered branches, and a
-    reduced row left with a single term makes its branch a monomial tip too.
-    The data is canonical for the ideal and the branch order: the minimal
-    monomial tips, and the reduced rows over the branches they leave.
+    Branch terms containing a monomial tip are dropped from the non-monomial
+    relations, and what is left is row-reduced over the ordered branches.  A
+    reduced row with a single term is a whole branch in the ideal, so a
+    monomial tip: a unit vector in the row space is always a row of its reduced
+    echelon form, and no other row uses its pivot column.  The data is
+    canonical for the ideal and the branch order: the minimal monomial tips,
+    and the reduced rows over the branches they leave.
     """
     mono, nonmono = _split_relations(pres)
 
@@ -304,59 +301,24 @@ def _reduce(pres: Presentation) -> tuple[GroebnerData, bool]:
         if p not in ideal:
             ideal.add(p)
             mono_tips.append(p)
-    pending = list(nonmono)
-    while True:
-        changed = False
-        nxt = []
-        for rel in pending:
-            kept = FormalSum({p: c for p, c in rel.terms.items() if p not in ideal})
-            if len(kept.terms) != len(rel.terms):
-                changed = True
-            if kept.is_zero:
-                continue
-            if len(kept.terms) == 1:
-                # a whole branch outside the ideal: no monomial contains it
-                (b,) = kept.terms
-                ideal.add(b)
-                mono_tips.append(b)
-                changed = True
-                continue
-            nxt.append(kept)
-        pending = nxt
-        if not changed:
-            break
 
     key = pres.branch_order_key()
-    involved = sorted({p for rel in pending for p in rel.terms}, key=key)
-    col = {b: j for j, b in enumerate(involved)}
-    rows = []
-    for rel in pending:
-        row = [0] * len(involved)
-        for p, c in rel.terms.items():
-            row[col[p]] = c
-        rows.append(row)
-    reduced, pivots = rref(rows)
-    independent = len(reduced) == len(rows)
-    # a reduced row with one term is a whole branch in the ideal: a monomial tip.
-    # No other row uses its pivot column, so the column goes with it.
-    single = {c for row, c in zip(reduced, pivots) if sum(map(bool, row)) == 1}
-    if single:
-        for c in single:
-            ideal.add(involved[c])
-            mono_tips.append(involved[c])
-        keep = [j for j in range(len(involved)) if j not in single]
-        kept = [(row, c) for row, c in zip(reduced, pivots) if c not in single]
-        col = {j: i for i, j in enumerate(keep)}
-        reduced = [[row[j] for j in keep] for row, _ in kept]
-        pivots = [col[c] for _, c in kept]
-        involved = [involved[j] for j in keep]
+    stripped = [{p: c for p, c in rel.terms.items() if p not in ideal} for rel in nonmono]
+    involved = sorted({p for rel in stripped for p in rel}, key=key)
+    reduced, pivots = rref([[rel.get(b, 0) for b in involved] for rel in stripped])
 
-    nonmono_rows = []
+    nonmono_rows, single = [], set()
     for row, pc in zip(reduced, pivots):
+        tip = involved[pc]
+        ideal.add(tip)
         rel = FormalSum({involved[j]: c for j, c in enumerate(row) if c})
-        nonmono_rows.append((involved[pc], rel))
-        ideal.add(involved[pc])
-    return GroebnerData(pres.quiver, key, mono_tips, nonmono_rows, involved, ideal), independent
+        if len(rel.terms) == 1:
+            mono_tips.append(tip)
+            single.add(tip)
+        else:
+            nonmono_rows.append((tip, rel))
+    branch_order = [b for b in involved if b not in single]
+    return GroebnerData(pres.quiver, key, mono_tips, nonmono_rows, branch_order, ideal)
 
 
 def classify_branches(gd: GroebnerData) -> dict:

@@ -448,6 +448,25 @@ def test_coalgebra_defects_match_dense_loop_on_every_corruption(k):
         assert bool(got) == (gamma in factors), (n, gamma)
 
 
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_algebra_defects_catch_every_corruption_on_lines(k):
+    # each entry of the line(10,k) product table doubled or dropped in turn
+    tor = TorCoalgebra(build_groebner(lines_presentation(1, 10, k)))
+    chains = tor.all_chains()
+    clean = algebra_table(ExtAlgebra(tor), 5)
+    assert stasheff_algebra_defects(clean, chains, 5) == []
+    rng = random.Random(0)
+    entries = [(n, key) for n in sorted(clean) for key in clean[n]]
+    assert len(entries) == {2: 165, 3: 80, 4: 42}[k]
+    for n, key in entries:
+        bad = {m: dict(row) for m, row in clean.items()}
+        if rng.random() < 0.5:
+            bad[n][key] = bad[n][key].scale(2)
+        else:
+            del bad[n][key]
+        assert stasheff_algebra_defects(bad, chains, 5), (n, key)
+
+
 def line_product_rows(length: int, k: int, n: int) -> int:
     """Nonzero rows of m_n on line(length, k), counted from chain spans alone,
     sharing no code with `chains` or `ainf`.  A d-chain is any run of span(d)

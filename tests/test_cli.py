@@ -11,9 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import toupie.chains
 import toupie.presentation
 import toupie.rewriting
-from tests.conftest import all_paths, overlap_monomial_presentation, three_branch_presentation
+from tests.conftest import (
+    all_paths,
+    lines_presentation,
+    overlap_monomial_presentation,
+    three_branch_presentation,
+)
 from toupie.cli import (
     _COMMAND_NAMES,
     main,
@@ -99,6 +105,30 @@ def test_betti_example(capsys, e1_path):
     assert report["result"]["betti"] == [6, 7, 2, 0]
     assert report["status"] == "ok"
     assert report["tool"] == {"name": "toupie", "version": "0.1.0"}
+
+
+@pytest.mark.parametrize(
+    "make", [three_branch_presentation, lambda: lines_presentation(1, 10, 2)], ids=["e1", "line-10-2"]
+)
+def test_betti_work_stops_at_the_arrow_count(capsys, tmp_path, monkeypatch, make):
+    # no chain has a degree at or above the arrow count, so a huge --degree
+    # asks for no more chain degrees than that, and reports the same ranks
+    pres = make()
+    path = write_input(tmp_path, pres)
+    arrows = len(pres.quiver.arrows)
+    _, want = run_json(capsys, "betti", path, "--degree", str(arrows + 3))  # 10 on e1
+    calls = []
+    real = toupie.chains.ChainGraph.chains
+
+    def counting_chains(self, d):
+        calls.append(d)
+        return real(self, d)
+
+    monkeypatch.setattr(toupie.chains.ChainGraph, "chains", counting_chains)
+    code, got = run_json(capsys, "betti", path, "--degree", "1000000")
+    assert code == 0
+    assert (got["status"], got["result"]) == (want["status"], want["result"])
+    assert 0 < len(calls) <= arrows + 1
 
 
 def test_ext_products_frozen_table(capsys, e1_path):
@@ -656,20 +686,14 @@ def test_recombined_monomials_report_as_monomials(capsys, tmp_path, matrix):
     [
         ("non-toupie", "inner vertex 'm' has degree (2, 1), expected (1, 1)"),
         ("not-branch-form", "relation not of branch form: a1 must be a whole branch of length >= 2"),
-        ("dependent", "duplicate relations: non-monomial relations are linearly dependent"),
     ],
 )
 def test_refused_reduction_gives_one_report_for_every_command(capsys, tmp_path, case, reason):
-    ab = (["a1", "a2"], ["b1", "b2"])
-    payloads = {
-        "not-branch-form": two_branch_payload([[(1, ["a1"]), (-1, ["b1"])]]),
-        "dependent": two_branch_payload([[(1, ab[0]), (-1, ab[1])], [(2, ab[0]), (-2, ab[1])]]),
-    }
     if case == "non-toupie":
         path = non_toupie_path(tmp_path)
     else:
         path = tmp_path / f"{case}.json"
-        path.write_text(json.dumps(payloads[case]))
+        path.write_text(json.dumps(two_branch_payload([[(1, ["a1"]), (-1, ["b1"])]])))
     outcomes = set()
     for command in _COMMAND_NAMES:
         code, report = run_json(capsys, command, str(path))

@@ -300,8 +300,8 @@ def test_ideal_equal_matches_span_oracle(seed):
 def test_ideal_equal_answers_for_dependent_relations(three_branch):
     q = three_branch.quiver
     twice = Presentation(q, three_branch.relations * 2, three_branch.order)
-    with pytest.raises(ValueError, match="duplicate relations"):
-        build_groebner(twice)
+    got, want = build_groebner(twice), build_groebner(three_branch)
+    assert (got.mono_tips, got.nonmono_rows) == (want.mono_tips, want.nonmono_rows)
     assert ideal_equal(twice, three_branch) and ideal_equal(three_branch, twice)
     rel1, rel2 = three_branch.relations
     assert ideal_equal(Presentation(q, (rel1, rel2, rel1 - rel2)), three_branch)

@@ -227,12 +227,63 @@ def test_pre_reduction_of_mixed_presentation(three_branch):
     assert gd.dim == 16
 
 
-def test_duplicate_relations_rejected(three_branch):
+def reduced_data(pres):
+    gd = build_groebner(pres)
+    return (
+        gd.mono_tips,
+        gd.nonmono_rows,
+        gd.branch_order,
+        gd.tip_ideal.ends,
+        gd.dim,
+        gd.special_rows,
+        classify_branches(gd),
+    )
+
+
+def test_dependent_relations_reduce_to_their_minimal_generating_set(three_branch):
     q = three_branch.quiver
-    rel = FormalSum({q.path("b1", "b2"): 1, q.path("c1", "c2"): -1})
-    doubled = FormalSum({q.path("b1", "b2"): 2, q.path("c1", "c2"): -2})
-    with pytest.raises(ValueError, match="duplicate relations"):
-        build_groebner(Presentation(q, (rel, doubled)))
+    b12, c12 = q.path("b1", "b2"), q.path("c1", "c2")
+    rel = FormalSum({b12: 1, c12: -1})
+    twice = Presentation(q, (rel, FormalSum({b12: 2, c12: -2})))
+    gd = build_groebner(twice)
+    assert gd.mono_tips == ()
+    assert gd.nonmono_rows == ((b12, rel),)
+    assert reduced_data(twice) == reduced_data(Presentation(q, (rel,)))
+
+    # two branches a1 a2 and b1 b2: each redundant set reduces like its minimal one
+    q = Quiver(
+        ["0", "a", "b", "w"],
+        [("a1", "0", "a"), ("a2", "a", "w"), ("b1", "0", "b"), ("b2", "b", "w")],
+    )
+    a, b = FormalSum.lift(q.path("a1", "a2")), FormalSum.lift(q.path("b1", "b2"))
+    diff = a - b
+    cases = [
+        ((diff, diff.scale(2)), (diff,)),
+        ((a, a), (a,)),
+        ((a, b, diff), (a, b)),
+    ]
+    for given_rels, minimal in cases:
+        got = reduced_data(Presentation(q, given_rels))
+        assert got == reduced_data(Presentation(q, minimal)), given_rels
+    assert build_groebner(Presentation(q, (a, b, diff))).nonmono_rows == ()
+
+
+COMBINATION_COEFFS = st.sampled_from([-3, -1, Fraction(1, 2), 2, Fraction(-5, 7)])
+
+
+@given(st.integers(0, 10**4), st.lists(COMBINATION_COEFFS, min_size=3, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_appended_combinations_leave_the_reduction_unchanged(seed, coeffs):
+    # a combination of the non-monomial relations adds nothing to the ideal
+    p = random_presentation(seed)
+    nonmono = [r for r in p.relations if len(r.terms) > 1]
+    extra = FormalSum()
+    for c, r in zip(coeffs, nonmono):
+        extra.add_scaled(r, c)
+    if extra.is_zero:
+        return
+    bigger = Presentation(p.quiver, p.relations + (extra, extra.scale(3)), p.order)
+    assert reduced_data(bigger) == reduced_data(p)
 
 
 def test_redundant_monomial_relations_collapse():
