@@ -30,9 +30,7 @@ _EXPORTS = {
         "gr_algebra", "hypotheses_check", "ideal_equal", "opposite_quiver", "quadratic_blocks",
         "yoneda_presentation",
     ),
-    "random_presentations": (
-        "GeneratorConfig", "fixed_violators", "random_groebner", "random_presentation",
-    ),
+    "random_presentations": ("GeneratorConfig", "random_presentation"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -77,27 +77,24 @@ class TorCoalgebra:
         return self.sdr.complex.h(word).map_terms(lambda w: self._delta_bar(s, w))
 
     def _delta_bar(self, n: int, word) -> FormalSum:
-        """n-fold coproduct on the bar complex, pushed through the homotopy."""
+        """n-fold coproduct (n >= 2) on the bar complex, pushed through the homotopy."""
         key = (n, word)
         got = self._bar_memo.get(key)
         if got is not None:
             return got
         out = FormalSum()
-        if n == 1:
-            out.add_term((word,), 1)
-        else:
-            for i in range(1, len(word)):
-                u, v = word[:i], word[i:]
-                for s in range(1, n):
-                    t = n - s
-                    left = self._delta_h(s, u)
-                    if left.is_zero:
-                        continue
-                    right = self._delta_h(t, v)
-                    sign = (-1) ** (s * (t + 1) + (t - 1) * i)
-                    for lk, lc in left.terms.items():
-                        for rk, rc in right.terms.items():
-                            out.add_term(lk + rk, sign * lc * rc)
+        for i in range(1, len(word)):
+            u, v = word[:i], word[i:]
+            for s in range(1, n):
+                t = n - s
+                left = self._delta_h(s, u)
+                if left.is_zero:
+                    continue
+                right = self._delta_h(t, v)
+                sign = (-1) ** (s * (t + 1) + (t - 1) * i)
+                for lk, lc in left.terms.items():
+                    for rk, rc in right.terms.items():
+                        out.add_term(lk + rk, sign * lc * rc)
         self._bar_memo[key] = out
         return out
 
@@ -192,10 +189,7 @@ class ExtAlgebra:
     def m(self, duals) -> FormalSum:
         """m_n(f1 ... fn): a combination of dual chains, keyed by their chains."""
         duals = tuple(tuple(f) for f in duals)
-        n = len(duals)
-        if n < 2:
-            return FormalSum()
-        got = self.layer(n).get(duals)
+        got = self.layer(len(duals)).get(duals)
         # a copy, so callers that edit the value leave the cached layer intact
         return FormalSum(got.terms) if got else FormalSum()
 

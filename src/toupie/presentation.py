@@ -130,13 +130,11 @@ def compose(p: Path, q: Path) -> Path:
 
 def _term_key(x):
     # Universal deterministic sort key for FormalSum keys (paths, tuples of
-    # paths, pairs with None slots, strings).
+    # paths, strings).
     if isinstance(x, Path):
         return (1, x.sort_key())
     if isinstance(x, tuple):
         return (2, tuple(_term_key(y) for y in x))
-    if x is None:
-        return (0,)
     return (3, x)
 
 
@@ -220,17 +218,11 @@ class FormalSum:
                     terms[k] = v if type(v) is int else _exact(v)
         return self
 
-    def __iadd__(self, other: "FormalSum") -> "FormalSum":
-        return self.add_scaled(other)
-
     def __add__(self, other: "FormalSum") -> "FormalSum":
         return self.scale(1).add_scaled(other)
 
     def __sub__(self, other: "FormalSum") -> "FormalSum":
         return self.scale(1).add_scaled(other, -1)
-
-    def __neg__(self) -> "FormalSum":
-        return self.scale(-1)
 
     def scale(self, c) -> "FormalSum":
         out = FormalSum()
@@ -303,11 +295,6 @@ class Quiver:
         self.out = {v: tuple(arrows) for v, arrows in out.items()}
         self.inn = {v: tuple(arrows) for v, arrows in inn.items()}
         self._branches: tuple[Path, ...] | None = None  # filled by validate_toupie
-
-    def trivial(self, v: str) -> Path:
-        if v not in self.out:
-            raise KeyError(v)
-        return Path(v, ())
 
     def path(self, *arrow_names: str) -> Path:
         arrows = tuple(self.arrow_by_name[n] for n in arrow_names)

@@ -4,8 +4,6 @@ Draws a quiver with a handful of parallel branches and sprinkles monomial
 subpath relations and full-rank combinations of whole branches over it.  A draw
 with no admissible relation material is retried; every other draw is reduced
 once by `build_groebner`, so a draw it refuses raises instead of being retried.
-`fixed_violators` returns small presentations that each break one hypothesis
-of the double-dual construction, for the refusal paths.
 """
 from __future__ import annotations
 
@@ -16,9 +14,8 @@ from fractions import Fraction
 
 from . import presentation, rewriting
 from .presentation import FormalSum, Presentation, Quiver
-from .rewriting import GroebnerData
 
-__all__ = ["GeneratorConfig", "random_presentation", "random_groebner", "fixed_violators"]
+__all__ = ["GeneratorConfig", "random_presentation"]
 
 
 @dataclass(frozen=True)
@@ -91,80 +88,3 @@ def random_presentation(seed: int, cfg: GeneratorConfig = GeneratorConfig()) -> 
         rewriting.build_groebner(pres)
         return pres
     raise RuntimeError(f"no valid presentation for seed {seed}")
-
-
-def random_groebner(seed: int, cfg: GeneratorConfig = GeneratorConfig()) -> GroebnerData:
-    return rewriting.build_groebner(random_presentation(seed, cfg))
-
-
-def fixed_violators() -> list[tuple[str, Presentation]]:
-    """Presentations that each break one hypothesis of the double-dual construction."""
-    out = []
-
-    q = Quiver(
-        ["0", "v1", "v2", "w"],
-        [("d1", "0", "v1"), ("d2", "v1", "v2"), ("d3", "v2", "w")],
-    )
-    out.append(
-        ("cubic monomial relation", Presentation(q, (FormalSum.lift(q.path("d1", "d2", "d3")),)))
-    )
-
-    q = Quiver(
-        ["0", "a1v", "a2v", "b1v", "b2v", "c1v", "w"],
-        [
-            ("a1", "0", "a1v"),
-            ("a2", "a1v", "a2v"),
-            ("a3", "a2v", "w"),
-            ("b1", "0", "b1v"),
-            ("b2", "b1v", "b2v"),
-            ("b3", "b2v", "w"),
-            ("c1", "0", "c1v"),
-            ("c2", "c1v", "w"),
-        ],
-    )
-    rel1 = FormalSum({q.path("a1", "a2", "a3"): Fraction(1), q.path("c1", "c2"): Fraction(-1)})
-    rel2 = FormalSum({q.path("b1", "b2", "b3"): Fraction(1), q.path("c1", "c2"): Fraction(-1)})
-    out.append(
-        (
-            "two non-quadratic tips in one linked component",
-            Presentation(q, (rel1, rel2), order=("a1", "b1", "c1")),
-        )
-    )
-
-    q = Quiver(
-        ["0", "v1", "v2", "v3", "w"],
-        [
-            ("d1", "0", "v1"),
-            ("d2", "v1", "v2"),
-            ("d3", "v2", "v3"),
-            ("d4", "v3", "w"),
-        ],
-    )
-    out.append(
-        (
-            "quartic monomial relation",
-            Presentation(q, (FormalSum.lift(q.path("d1", "d2", "d3", "d4")),)),
-        )
-    )
-
-    # a lone relation with no quadratic block: its graded replacement is cubic,
-    # out of reach of any quadratic dual presentation
-    q = Quiver(
-        ["0", "a1v", "a2v", "b1v", "b2v", "w"],
-        [
-            ("a1", "0", "a1v"),
-            ("a2", "a1v", "a2v"),
-            ("a3", "a2v", "w"),
-            ("b1", "0", "b1v"),
-            ("b2", "b1v", "b2v"),
-            ("b3", "b2v", "w"),
-        ],
-    )
-    rel = FormalSum({q.path("a1", "a2", "a3"): Fraction(1), q.path("b1", "b2", "b3"): Fraction(1)})
-    out.append(
-        (
-            "non-monomial relation without a quadratic block",
-            Presentation(q, (rel,), order=("a1", "b1")),
-        )
-    )
-    return out

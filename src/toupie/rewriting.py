@@ -209,18 +209,13 @@ class GroebnerData:
 
     # -- normal forms --------------------------------------------------------
 
-    def normal_form(self, x) -> FormalSum:
-        """The normal form of a path or of a sum of paths.  A path's is the
-        cached sum itself, shared: read it without editing."""
-        if isinstance(x, Path):
-            return self._nf_path(x)
-        return x.map_terms(self._nf_path)
-
-    def _nf_path(self, p: Path) -> FormalSum:
+    def normal_form(self, p: Path) -> FormalSum:
+        """The normal form of a path: the cached sum itself, shared, so read it
+        without editing.  A sum reduces as `fs.map_terms(gd.normal_form)`."""
         got = self._nf_cache.get(p)
         if got is None:
             if p in self.nonmono_by_tip:
-                got = self.tail_of(p).map_terms(self._nf_path)
+                got = self.tail_of(p).map_terms(self.normal_form)
             elif p in self.tip_ideal:  # contains a monomial tip
                 got = FormalSum()
             else:
@@ -254,14 +249,10 @@ class GroebnerData:
         return got
 
     @property
-    def nontips(self) -> tuple[Path, ...]:
-        # one read: the property builds its dict afresh, keys in increasing length
-        return tuple(p for ps in self.nontips_by_degree.values() for p in ps)
-
-    @property
     def dim(self) -> int:
-        """len(self.nontips), counted off the tip ideal: the vertices, plus per
-        branch position i the intervals [i, j) with i < j < ends[b][i]."""
+        """The number of nontips in `nontips_by_degree`, counted off the tip ideal:
+        the vertices, plus per branch position i the intervals [i, j) with
+        i < j < ends[b][i]."""
         ends = self.tip_ideal.ends
         return len(self.quiver.vertices) + sum(
             max(0, e - i - 1) for row in ends for i, e in enumerate(row)

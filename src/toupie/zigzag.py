@@ -70,10 +70,6 @@ class BasedComplex:
     def status(self, cell) -> str:
         return (self._status.get(cell) or self._read(cell))[0]
 
-    def dotted_weight(self, lower):
-        self.status(lower)
-        return self._weight[lower]
-
     def thick(self, cell) -> FormalSum:
         d = self.diff(cell)
         st, lo = self._status.get(cell) or self._read(cell)

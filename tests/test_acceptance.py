@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from tests.conftest import (
+    fixed_violators,
     overlap_monomial_presentation,
     record_bar_differentials,
     three_branch_presentation,
@@ -34,7 +35,7 @@ from toupie.duality import (
 )
 from toupie.morse import BarSDR, bar_words
 from toupie.presentation import FormalSum
-from toupie.random_presentations import fixed_violators, random_presentation
+from toupie.random_presentations import random_presentation
 from toupie.rewriting import build_groebner, special_basis
 
 

@@ -1,6 +1,11 @@
-from tests.conftest import single_chain_presentation
+import json
+
+import pytest
+
+from tests.conftest import single_chain_presentation, three_branch_presentation
 from toupie.anick import AnickResolution, betti_numbers
-from toupie.presentation import FormalSum
+from toupie.cli import main, presentation_payload
+from toupie.presentation import FormalSum, Path
 from toupie.rewriting import build_groebner
 
 
@@ -11,7 +16,7 @@ def test_degree_one_differential(three_branch):
     a1 = q.path("a1")
     d = res.differential((a1,))
     assert d == FormalSum(
-        {(a1, q.trivial("a12"), q.trivial("a12")): 1, (q.trivial("0"), q.trivial("0"), a1): -1}
+        {(a1, Path("a12", ()), Path("a12", ())): 1, (Path("0", ()), Path("0", ()), a1): -1}
     )
     assert res.augmentation(d).is_zero
 
@@ -21,7 +26,7 @@ def test_degree_two_differential_rewrites_tail(three_branch):
     res = AnickResolution(gd)
     q = gd.quiver
     b1, b2, c1, c2 = (q.path(n) for n in ("b1", "b2", "c1", "c2"))
-    e0, ew = q.trivial("0"), q.trivial("w")
+    e0, ew = Path("0", ()), Path("w", ())
     d = res.differential((b1, b2))
     assert d == FormalSum(
         {
@@ -40,7 +45,7 @@ def test_projection_of_rewritable_word(three_branch):
     c1, c2 = q.path("c1"), q.path("c2")
     c12 = q.path("c1", "c2")
     assert res.p((c12,)) == FormalSum(
-        {(c1, (c2,), q.trivial("w")): 1, (q.trivial("0"), (c1,), c2): 1}
+        {(c1, (c2,), Path("w", ())): 1, (Path("0", ()), (c1,), c2): 1}
     )
 
 
@@ -61,3 +66,76 @@ def test_resolution_checks_longer_tips():
         gd = build_groebner(single_chain_presentation(tips))
         report = AnickResolution(gd).check(5)
         assert report["violations"] == []
+
+
+def _flip_first_term(letters: int):
+    """`bimodule_diff` with the sign of its first term flipped on cells of `letters` letters."""
+    bimodule_diff = AnickResolution.bimodule_diff
+
+    def corrupted(self, cell):
+        out = bimodule_diff(self, cell)
+        if not isinstance(cell, Path) and len(cell) == letters:
+            out = FormalSum(out.terms)
+            first = next(iter(out.terms))
+            out.terms[first] = -out.terms[first]
+        return out
+
+    return corrupted
+
+
+def _with_undecorated_term(self, chain, differential=AnickResolution.differential):
+    """`differential` plus the term (e, (w1,), e) on 2-letter chains."""
+    out = differential(self, chain)
+    if len(chain) == 2:
+        w1 = chain[0]
+        out = FormalSum(out.terms)
+        out.add_term((Path(w1.source, ()), (w1,), Path(w1.target, ())), 1)
+    return out
+
+
+ONE_LETTER_AUGMENTATION = [
+    f"augmentation does not kill d(({x},))" for x in ("a1", "b1", "c1", "a2", "a3", "b2", "c2")
+]
+SQUARE_DEFECTS = ["d∘d != 0 at (b1, b2)", "d∘d != 0 at (a1, a2*a3)"]
+
+
+@pytest.mark.parametrize(
+    "attr, corrupted, flags, violations",
+    [
+        (
+            "bimodule_diff",
+            _flip_first_term(1),
+            (False, False, True),
+            ONE_LETTER_AUGMENTATION + SQUARE_DEFECTS,
+        ),
+        ("bimodule_diff", _flip_first_term(2), (False, True, True), SQUARE_DEFECTS),
+        (
+            "differential",
+            _with_undecorated_term,
+            (False, True, False),
+            [
+                "non-minimal term at (b1, b2)",
+                SQUARE_DEFECTS[0],
+                "non-minimal term at (a1, a2*a3)",
+                SQUARE_DEFECTS[1],
+            ],
+        ),
+    ],
+    ids=["augmentation", "square-zero", "minimality"],
+)
+def test_resolution_check_reports_each_violation(monkeypatch, attr, corrupted, flags, violations):
+    monkeypatch.setattr(AnickResolution, attr, corrupted)
+    report = AnickResolution(build_groebner(three_branch_presentation())).check(3)
+    assert (report["square_zero"], report["augmented"], report["minimal"]) == flags
+    assert report["violations"] == violations
+
+
+def test_resolution_check_command_exits_1_on_a_violation(monkeypatch, capsys, tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(presentation_payload(three_branch_presentation())))
+    monkeypatch.setattr(AnickResolution, "bimodule_diff", _flip_first_term(2))
+    code = main(["resolution-check", str(path), "--degree", "3", "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    assert (code, report["status"]) == (1, "violation")
+    assert report["result"]["square_zero"] is False
+    assert report["result"]["violations"] == SQUARE_DEFECTS

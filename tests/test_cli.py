@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import toupie.ainf
 import toupie.chains
 import toupie.presentation
 import toupie.rewriting
@@ -22,6 +23,7 @@ from tests.conftest import (
 )
 from toupie.cli import (
     _COMMAND_NAMES,
+    chain_payload,
     main,
     parse_presentation,
     presentation_payload,
@@ -517,6 +519,49 @@ def test_consistency_commands_pass(capsys, e1_path):
     assert "seed-3" in report["result"]  # oracle-diff also ran the seeded subject
 
 
+@pytest.mark.parametrize("which", ["first-nonzero", "top"])
+def test_doubled_coproduct_is_reported(capsys, tmp_path, monkeypatch, which):
+    # line(10,3) with Delta_2 of one chain doubled in the closed form
+    pres = lines_presentation(1, 10, 3)
+    path = write_input(tmp_path, pres)
+    tor = toupie.ainf.TorCoalgebra(build_groebner(pres))
+    chains = tor.all_chains()
+    if which == "top":
+        target = chains[-1]
+    else:
+        target = next(c for c in chains if tor.closed_delta(2, c))
+        assert chain_payload(target) == [["x0_1"], ["x0_2", "x0_3"], ["x0_4"]]
+    closed_delta = toupie.ainf.TorCoalgebra.closed_delta
+
+    def doubled(self, n, chain):
+        out = closed_delta(self, n, chain)
+        return out.scale(2) if n == 2 and chain == target else out
+
+    monkeypatch.setattr(toupie.ainf.TorCoalgebra, "closed_delta", doubled)
+    args = ("--arity", "5", "--degree", "1")
+    code, report = run_json(capsys, "oracle-diff", path, *args)
+    assert (code, report["status"]) == (1, "violation")
+    rows = report["result"]["input"]["coproduct_mismatches"]
+    assert len(rows) == 1
+    assert set(rows[0]) == {"arity", "chain", "closed", "transfer"}
+    assert (rows[0]["arity"], rows[0]["chain"]) == (2, chain_payload(target))
+
+    code, report = run_json(capsys, "stasheff", path, *args)
+    defects = report["result"]["input"]
+    if which == "top":
+        # the top chain is a factor of no coproduct word, and the identities
+        # on its own coproducts still hold with Delta_2 doubled: neither
+        # Stasheff side sees the change, only oracle-diff does
+        assert (code, report["status"]) == (0, "ok")
+        assert defects == {"coalgebra_defects": [], "algebra_defects": []}
+        return
+    assert (code, report["status"]) == (1, "violation")
+    assert len(defects["coalgebra_defects"]) == 4
+    assert len(defects["algebra_defects"]) == 10
+    assert all(set(row) == {"arity", "chain", "defect"} for row in defects["coalgebra_defects"])
+    assert all(set(row) == {"args", "arity", "defect"} for row in defects["algebra_defects"])
+
+
 def test_module_entry_point(e1_path):
     proc = subprocess.run(
         [sys.executable, "-m", "toupie", "betti", e1_path],
@@ -686,14 +731,19 @@ def test_recombined_monomials_report_as_monomials(capsys, tmp_path, matrix):
     [
         ("non-toupie", "inner vertex 'm' has degree (2, 1), expected (1, 1)"),
         ("not-branch-form", "relation not of branch form: a1 must be a whole branch of length >= 2"),
+        ("one-arrow-monomial", "monomial relation a1 shorter than 2"),
     ],
 )
 def test_refused_reduction_gives_one_report_for_every_command(capsys, tmp_path, case, reason):
+    relations = {
+        "not-branch-form": [[(1, ["a1"]), (-1, ["b1"])]],
+        "one-arrow-monomial": [[(1, ["a1"])]],
+    }
     if case == "non-toupie":
         path = non_toupie_path(tmp_path)
     else:
         path = tmp_path / f"{case}.json"
-        path.write_text(json.dumps(two_branch_payload([[(1, ["a1"]), (-1, ["b1"])]])))
+        path.write_text(json.dumps(two_branch_payload(relations[case])))
     outcomes = set()
     for command in _COMMAND_NAMES:
         code, report = run_json(capsys, command, str(path))

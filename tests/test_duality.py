@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 import toupie.duality
 import toupie.rewriting
-from tests.conftest import fraction_rref, ideal_rows, lines_presentation, single_chain_presentation
+from tests.conftest import (
+    fixed_violators,
+    fraction_rref,
+    ideal_rows,
+    lines_presentation,
+    single_chain_presentation,
+)
 from toupie.ainf import ExtAlgebra, TorCoalgebra
 from toupie.duality import (
     HypothesesError,
@@ -21,7 +27,7 @@ from toupie.duality import (
     yoneda_presentation,
 )
 from toupie.presentation import FormalSum, Presentation, Quiver, branches_of
-from toupie.random_presentations import fixed_violators, random_presentation
+from toupie.random_presentations import random_presentation
 from toupie.rewriting import build_groebner
 
 

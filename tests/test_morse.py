@@ -6,7 +6,7 @@ import pytest
 from tests.conftest import single_chain_presentation
 from toupie.chains import ChainGraph
 from toupie.morse import BarSDR, bar_differential, bar_words, classify_word
-from toupie.presentation import FormalSum
+from toupie.presentation import FormalSum, Path
 from toupie.rewriting import build_groebner
 
 
@@ -39,7 +39,7 @@ def test_bar_differential_signs(three_branch):
     a12, a23 = q.path("a1", "a2"), q.path("a2", "a3")
     assert bar_differential(gd, (a1, a2, a3)) == lift((a12, a3), -1, (a1, a23))
     assert bar_differential(gd, (a1,)).is_zero
-    assert bar_differential(gd, q.trivial("0")).is_zero
+    assert bar_differential(gd, Path("0", ())).is_zero
 
 
 def test_matching_pairs_three_branch(three_branch):

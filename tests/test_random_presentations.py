@@ -1,11 +1,7 @@
+from tests.conftest import fixed_violators
 from toupie.ainf import TorCoalgebra
 from toupie.presentation import branches_of
-from toupie.random_presentations import (
-    GeneratorConfig,
-    fixed_violators,
-    random_groebner,
-    random_presentation,
-)
+from toupie.random_presentations import GeneratorConfig, random_presentation
 from toupie.rewriting import build_groebner
 
 
@@ -39,7 +35,7 @@ def test_draws_vary():
 
 def test_coproducts_agree_on_random_draws():
     for seed in (1, 4, 11):
-        tor = TorCoalgebra(random_groebner(seed))
+        tor = TorCoalgebra(build_groebner(random_presentation(seed)))
         for chain in tor.all_chains():
             for n in (2, 3, 4):
                 assert tor.closed_delta(n, chain) == tor.transfer_delta(n, chain)

@@ -23,6 +23,7 @@ from toupie.ainf import TorCoalgebra
 from toupie.chains import ChainGraph
 from toupie.cli import main, presentation_payload
 from toupie.morse import BarSDR, bar_words, classify_word
+from toupie.presentation import Path
 from toupie.random_presentations import random_presentation
 from toupie.rewriting import build_groebner
 
@@ -45,7 +46,7 @@ def _brute_force_words(gd):
     # every composable word of nontrivial nontips, layer by layer, each layer
     # in the underlying path's order, then by letter lengths
     letters = [p for ps in gd.nontips_by_degree.values() for p in ps if not p.is_trivial]
-    out = {0: [gd.quiver.trivial(v) for v in gd.quiver.vertices]}
+    out = {0: [Path(v, ()) for v in gd.quiver.vertices]}
     layer = [(p,) for p in letters]
     while layer:
         key = lambda w: (fold_path(w).sort_key(), tuple(len(p) for p in w))
