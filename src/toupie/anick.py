@@ -19,17 +19,25 @@ __all__ = ["AnickResolution", "betti_numbers"]
 def betti_numbers(gd: GroebnerData, up_to: int) -> list[int]:
     """Ranks of the minimal resolution: vertices, then chain counts per degree."""
     cg = ChainGraph(gd)
-    return [len(gd.quiver.vertices)] + [len(cg.chains(d)) for d in range(up_to)]
+    ranks = [len(gd.quiver.vertices)]
+    for d in range(up_to):
+        count = len(cg.chains(d))
+        if not count:
+            # chains nest, so past the first empty degree every rank is zero
+            return ranks + [0] * (up_to - d)
+        ranks.append(count)
+    return ranks
 
 
 class AnickResolution:
     def __init__(self, gd: GroebnerData):
         from . import morse
 
+        # the chain matching, its pair checks and the merges are the bar complex's
+        sdr = morse.BarSDR(gd)
         self.gd = gd
-        self.cg = ChainGraph(gd)
-        self._match = morse.build_matching(self.cg)
-        self._status: dict = {}
+        self.cg = sdr.cg
+        self.cx = sdr.complex
         self._p_cache: dict = {}
         self._d_cache: dict = {}
 
@@ -39,8 +47,6 @@ class AnickResolution:
         """Terms (left, cell, right); ends split off, middles merge in normal form."""
         out = FormalSum()
         if not isinstance(cell, Path):
-            from .morse import bar_differential
-
             word = cell
             n = len(word)
             src = word[0].source
@@ -48,7 +54,7 @@ class AnickResolution:
             out.add_term((word[0], word[1:] if n > 1 else Path(tgt, ()), Path(tgt, ())), 1)
             # the inner merges are the bar differential's, each sign flipped:
             # (-1)^(j+1) = -(-1)^j
-            for w, c in bar_differential(self.gd, word).terms.items():
+            for w, c in self.cx.diff(word).terms.items():
                 out.add_term((Path(src, ()), w, Path(tgt, ())), -c)
             out.add_term(
                 (Path(src, ()), word[:-1] if n > 1 else Path(src, ()), word[-1]),
@@ -66,17 +72,11 @@ class AnickResolution:
 
     # -- transfer to the chain generators -------------------------------------
 
-    def _classify(self, cell):
-        got = self._status.get(cell)
-        if got is None:
-            got = self._status[cell] = self._match(cell)
-        return got
-
     def p(self, cell) -> FormalSum:
         got = self._p_cache.get(cell)
         if got is not None:
             return got
-        st, partner = self._classify(cell)
+        st, partner = self.cx.match(cell)
         if st == "critical":
             src = cell.source if isinstance(cell, Path) else cell[0].source
             tgt = cell.target if isinstance(cell, Path) else cell[-1].target
@@ -88,9 +88,8 @@ class AnickResolution:
             src = cell[0].source
             tgt = cell[-1].target
             me = (Path(src, ()), cell, Path(tgt, ()))
+            # minus the pair's bar coefficient, which `match` has checked is nonzero
             lam = d_up.coeff(me)
-            if not lam:
-                raise AssertionError(f"matched coefficient vanished at {cell!r}")
             got = FormalSum()
             for (l, y, r), c in d_up.terms.items():
                 if (l, y, r) == me:
@@ -105,7 +104,7 @@ class AnickResolution:
         got = self._d_cache.get(chain)
         if got is not None:
             return got
-        if self._classify(chain)[0] != "critical":
+        if self.cx.status(chain) != "critical":
             raise ValueError(f"not a chain generator: {chain!r}")
         out = FormalSum()
         for (l, y, r), c in self.bimodule_diff(chain).terms.items():
@@ -129,7 +128,10 @@ class AnickResolution:
         """Exactness data: d∘d, augmentation∘d1, and minimality, per degree."""
         report = {"square_zero": True, "augmented": True, "minimal": True, "violations": []}
         for d in range(1, max_degree + 1):
-            for chain in self.cg.chains(d - 1):
+            chains = self.cg.chains(d - 1)
+            if not chains:
+                break  # chains nest: every later layer is empty too
+            for chain in chains:
                 dv = self.differential(chain)
                 for (l, y, r), c in dv.terms.items():
                     if l.is_trivial and r.is_trivial:

@@ -26,7 +26,6 @@ import argparse
 import functools
 import hashlib
 import json
-import os
 import re
 import sys
 from dataclasses import dataclass
@@ -53,11 +52,11 @@ class JobSpec:
 
     input_path: str
     command: str
-    degree: int = 5
-    arity: int = 5
-    format: str = "text"
-    golden: Optional[str] = None
-    seed: Optional[int] = None
+    degree: int
+    arity: int
+    format: str
+    golden: Optional[str]
+    seed: Optional[int]
 
     def __post_init__(self):
         if self.command not in _COMMAND_NAMES:
@@ -66,8 +65,6 @@ class JobSpec:
             raise ValueError("degree bound must be >= 1")
         if self.arity < 1:
             raise ValueError("arity bound must be >= 1")
-        if self.format not in ("text", "json"):
-            raise ValueError(f"unknown format {self.format!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -594,30 +591,16 @@ def _run(job: JobSpec) -> int:
     return code
 
 
-def _resolve(flag_value, env_name: str, default, convert=None):
-    if flag_value is not None:
-        return flag_value
-    raw = os.environ.get(env_name)
-    if raw is None:
-        return default
-    if convert is None:
-        return raw
-    try:
-        return convert(raw)
-    except ValueError as err:
-        raise InputError(f"{env_name}={raw!r}: expected an integer") from err
-
-
 def make_job(args: argparse.Namespace) -> JobSpec:
     try:
         return JobSpec(
             input_path=args.input,
             command=args.command,
-            degree=_resolve(args.degree, "TOUPIE_DEGREE", 5, int),
-            arity=_resolve(args.arity, "TOUPIE_ARITY", 5, int),
-            format=_resolve(args.format, "TOUPIE_FORMAT", "text"),
-            golden=_resolve(args.golden, "TOUPIE_GOLDEN", None),
-            seed=_resolve(args.seed, "TOUPIE_SEED", None, int),
+            degree=args.degree,
+            arity=args.arity,
+            format=args.format,
+            golden=args.golden,
+            seed=args.seed,
         )
     except ValueError as err:
         raise InputError(str(err)) from err
@@ -626,7 +609,7 @@ def make_job(args: argparse.Namespace) -> JobSpec:
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     # built on the first `main` call and reused by every later one (one per job
-    # in a batch); the TOUPIE_* environment values are still read per call
+    # in a batch)
     parser = argparse.ArgumentParser(
         prog="toupie",
         description="Exact homological computations for single-source, single-sink quiver presentations.",
@@ -634,24 +617,18 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("command", metavar="COMMAND", help="one of: " + ", ".join(_COMMAND_NAMES))
     parser.add_argument("input", metavar="INPUT", help="presentation JSON file")
     parser.add_argument(
-        "--degree", type=int, default=None,
-        help="homological degree bound (default 5; env TOUPIE_DEGREE)",
+        "--degree", type=int, default=5, help="homological degree bound (default 5)"
+    )
+    parser.add_argument("--arity", type=int, default=5, help="operation arity bound (default 5)")
+    parser.add_argument(
+        "--format", choices=("text", "json"), default="text", help="report format (default text)"
     )
     parser.add_argument(
-        "--arity", type=int, default=None,
-        help="operation arity bound (default 5; env TOUPIE_ARITY)",
+        "--golden", help="golden report file: compare byte-for-byte, write it if absent"
     )
     parser.add_argument(
-        "--format", choices=("text", "json"), default=None,
-        help="report format (default text; env TOUPIE_FORMAT)",
-    )
-    parser.add_argument(
-        "--golden", default=None,
-        help="golden report file: compare byte-for-byte, write it if absent (env TOUPIE_GOLDEN)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=None,
-        help="also exercise the generated presentation for this seed where supported (env TOUPIE_SEED)",
+        "--seed", type=int,
+        help="also exercise the generated presentation for this seed where supported",
     )
     return parser
 

@@ -25,7 +25,8 @@ class BasedComplex:
     `degree`: cell -> int
 
     Differentials, statuses and dotted weights are computed on first use and
-    kept.  A matched pair is checked the first time either cell is read.
+    kept.  A matched pair is checked the first time either cell is read;
+    `match(cell)` hands out the checked (status, partner).
     """
 
     def __init__(self, diff, match, degree):
@@ -67,12 +68,16 @@ class BasedComplex:
         self._status[hi] = ("upper", lo)
         return got
 
+    def match(self, cell):
+        """(status, partner) of `cell`, its pair checked on first read."""
+        return self._status.get(cell) or self._read(cell)
+
     def status(self, cell) -> str:
-        return (self._status.get(cell) or self._read(cell))[0]
+        return self.match(cell)[0]
 
     def thick(self, cell) -> FormalSum:
         d = self.diff(cell)
-        st, lo = self._status.get(cell) or self._read(cell)
+        st, lo = self.match(cell)
         if st == "upper":
             d = d - FormalSum.lift(lo, d.coeff(lo))
         return d
@@ -84,7 +89,7 @@ class BasedComplex:
         got = self._p_cache.get(cell)
         if got is not None:
             return got
-        st, hi = self._status.get(cell) or self._read(cell)
+        st, hi = self.match(cell)
         if st == "critical":
             got = FormalSum.lift(cell)
         elif st == "upper":
@@ -126,7 +131,7 @@ class BasedComplex:
 
     def h(self, cell) -> FormalSum:
         """The homotopy (degree +1); zero off the up-matched cells."""
-        st, hi = self._status.get(cell) or self._read(cell)
+        st, hi = self.match(cell)
         if st != "lower":
             return FormalSum()
         return self._walk_up(hi).scale(-self._weight[cell])

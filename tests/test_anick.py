@@ -3,7 +3,9 @@ import json
 import pytest
 
 from tests.conftest import single_chain_presentation, three_branch_presentation
+from toupie import morse
 from toupie.anick import AnickResolution, betti_numbers
+from toupie.chains import ChainGraph
 from toupie.cli import main, presentation_payload
 from toupie.presentation import FormalSum, Path
 from toupie.rewriting import build_groebner
@@ -139,3 +141,54 @@ def test_resolution_check_command_exits_1_on_a_violation(monkeypatch, capsys, tm
     assert (code, report["status"]) == (1, "violation")
     assert report["result"]["square_zero"] is False
     assert report["result"]["violations"] == SQUARE_DEFECTS
+
+
+def _unmatched_upper(monkeypatch, gd):
+    """`classify_word` with the upper cell (c1, c2) claimed critical, so its
+    lower partner (c1*c2,) finds no partner that matches back."""
+    q = gd.quiver
+    upper = (q.path("c1"), q.path("c2"))
+    classify_word = morse.classify_word
+    assert classify_word(ChainGraph(gd), upper) == ("upper", (q.path("c1", "c2"),))
+    monkeypatch.setattr(
+        morse,
+        "classify_word",
+        lambda cg, word: ("critical", None) if word == upper else classify_word(cg, word),
+    )
+
+
+UNMATCHED = "(c1, c2) does not match back to (c1*c2,)"
+
+
+def test_projection_reads_the_checked_bar_matching(monkeypatch):
+    gd = build_groebner(three_branch_presentation())
+    _unmatched_upper(monkeypatch, gd)
+    with pytest.raises(ValueError) as err:
+        AnickResolution(gd).check(3)
+    assert str(err.value) == UNMATCHED
+
+
+def test_unmatched_pair_is_a_violation_report(monkeypatch, capsys, tmp_path):
+    pres = three_branch_presentation()
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(presentation_payload(pres)))
+    _unmatched_upper(monkeypatch, build_groebner(pres))
+    code = main(["resolution-check", str(path), "--degree", "3", "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    assert (code, report["status"], report["result"]) == (1, "violation", {"reason": UNMATCHED})
+
+
+def test_resolution_check_stops_at_the_longest_chain(monkeypatch, capsys, tmp_path):
+    pres = three_branch_presentation()
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(presentation_payload(pres)))
+    calls = []
+    chains = ChainGraph.chains
+    monkeypatch.setattr(ChainGraph, "chains", lambda cg, d: calls.append(d) or chains(cg, d))
+    code = main(["resolution-check", str(path), "--degree", "1000", "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    assert (code, report["status"]) == (0, "ok")
+    assert report["result"]["betti"] == [6, 7, 2] + [0] * 998
+    # one pass of the check and one of the ranks, each up to the first empty layer
+    top = ChainGraph(build_groebner(pres)).max_chain_degree()
+    assert len(calls) <= 2 * (top + 2)

@@ -443,24 +443,16 @@ def test_reports_are_byte_stable(capsys, e1_path):
     assert out3 == out4
 
 
-def test_env_overrides_and_flag_precedence(capsys, monkeypatch, e1_path):
+def test_job_settings_come_only_from_flags(capsys, monkeypatch, e1_path):
+    # the environment is not read: defaults live in the argument parser alone
     monkeypatch.setenv("TOUPIE_DEGREE", "2")
-    code, report = run_json(capsys, "betti", e1_path)
-    assert code == 0
-    assert report["parameters"]["degree"] == 2
-    assert report["result"]["betti"] == [6, 7, 2]
-
-    code, report = run_json(capsys, "betti", e1_path, "--degree", "4")
-    assert report["parameters"]["degree"] == 4  # flag beats environment
-
-    monkeypatch.setenv("TOUPIE_DEGREE", "junk")
-    code, _, err = run_cli(capsys, "betti", e1_path)
-    assert code == 2 and "TOUPIE_DEGREE" in err
-
-    monkeypatch.delenv("TOUPIE_DEGREE")
     monkeypatch.setenv("TOUPIE_FORMAT", "json")
     code, out, _ = run_cli(capsys, "betti", e1_path)
-    json.loads(out)
+    assert code == 0 and out.startswith("toupie ")
+    assert "parameters: arity=5 degree=5 seed=None\n" in out
+    code, report = run_json(capsys, "betti", e1_path, "--degree", "2", "--arity", "3", "--seed", "7")
+    assert report["parameters"] == {"degree": 2, "arity": 3, "seed": 7}
+    assert report["result"]["betti"] == [6, 7, 2]
 
 
 def test_golden_bless_match_mismatch(capsys, tmp_path, e1_path):

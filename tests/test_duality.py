@@ -22,7 +22,6 @@ from toupie.duality import (
     gr_algebra,
     hypotheses_check,
     ideal_equal,
-    opposite_quiver,
     quadratic_blocks,
     yoneda_presentation,
 )

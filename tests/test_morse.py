@@ -131,8 +131,10 @@ def test_verify_catches_corrupted_closed_p(three_branch):
     q = gd.quiver
     split = (q.path("a1", "a2"), q.path("a3"))
     assert sdr.is_attached(split) and not sdr.cg.is_chain(split)
-    sdr_p = sdr.sdr_p
-    sdr.sdr_p = lambda w: sdr_p(w).scale(-1) if w == split else sdr_p(w)
+    # verify reads both closed maps of a word from one `_closed` call
+    closed = sdr._closed
+    sdr._closed = lambda w: (closed(w)[0], closed(w)[1].scale(-1)) if w == split else closed(w)
+    assert sdr.sdr_p(split) == sdr.complex.p(split).scale(-1)
     assert sdr.verify() == [f"closed p != oracle p at {split!r}"]
 
 

@@ -7,10 +7,9 @@ import json
 import pathlib
 import tokenize
 from fractions import Fraction
-from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from toupie.presentation import (

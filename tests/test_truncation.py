@@ -98,8 +98,9 @@ def _corruptible(gd) -> dict:
 
 
 def _corrupt_closed_h(sdr: BarSDR, bad_words):
-    sdr_h = sdr.sdr_h
-    sdr.sdr_h = lambda w: sdr_h(w).scale(-1) if w in bad_words else sdr_h(w)
+    # verify reads both closed maps of a word from one `_closed` call
+    closed = sdr._closed
+    sdr._closed = lambda w: (closed(w)[0].scale(-1), closed(w)[1]) if w in bad_words else closed(w)
     return sdr
 
 
