@@ -191,7 +191,7 @@ class ExtAlgebra:
         duals = tuple(tuple(f) for f in duals)
         got = self.layer(len(duals)).get(duals)
         # a copy, so callers that edit the value leave the cached layer intact
-        return FormalSum(got.terms) if got else FormalSum()
+        return got.scale(1) if got else FormalSum()
 
 
 def coalgebra_table(tor: TorCoalgebra, n_max: int) -> dict:
@@ -199,7 +199,7 @@ def coalgebra_table(tor: TorCoalgebra, n_max: int) -> dict:
     a copy of the cached layers, so editing the table leaves `tor` intact."""
     table: dict = {1: {}}
     for n in range(2, n_max + 1):
-        table[n] = {c: FormalSum(v.terms) for c, v in tor.coproduct_layer(n).items()}
+        table[n] = {c: v.scale(1) for c, v in tor.coproduct_layer(n).items()}
     return table
 
 

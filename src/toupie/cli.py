@@ -197,15 +197,26 @@ def chain_payload(word) -> list:
     return [list(letter.names) for letter in word]
 
 
-def _tensor_terms(fs: FormalSum) -> list:
+class _ChainPayloads(dict):
+    """chain word -> `chain_payload(word)`, built on first use.  A command makes
+    one per job, so a chain that recurs in its report is one shared list, which
+    the writer writes once per indent; the store, and the paths its words hold,
+    are freed when the command returns."""
+
+    def __missing__(self, word):
+        got = self[word] = chain_payload(word)
+        return got
+
+
+def _tensor_terms(fs: FormalSum, payloads: _ChainPayloads) -> list:
     return [
-        {"coeff": str(c), "factors": [chain_payload(w) for w in key]}
+        {"coeff": str(c), "factors": [payloads[w] for w in key]}
         for key, c in fs.items()
     ]
 
 
-def _chain_terms(fs: FormalSum) -> list:
-    return [{"coeff": str(c), "chain": chain_payload(w)} for w, c in fs.items()]
+def _chain_terms(fs: FormalSum, payloads: _ChainPayloads) -> list:
+    return [{"coeff": str(c), "chain": payloads[w]} for w, c in fs.items()]
 
 
 def build_report(job: JobSpec, digest: str, status: str, result: dict) -> dict:
@@ -222,44 +233,65 @@ def build_report(job: JobSpec, digest: str, status: str, result: dict) -> dict:
 _quote = json.encoder.encode_basestring_ascii
 
 
-def _json(value, indent: str) -> str:
+def _json(value, indent: str, memo: dict) -> str:
     """`json.dumps(value, indent=2, sort_keys=True)` continued at `indent`, in one
     pass: str-keyed dicts, lists, str, int, bool and None are written here, any
     other value by `json.dumps` with its lines shifted.  Containers are built
     with one join and one f-string each, so a large report is copied once per
-    nesting level, not once per `+`."""
+    nesting level, not once per `+`.
+
+    `memo` keeps the text of each list of string lists (a chain payload) by its
+    id and indent.  Nothing edits the tree while it is written, so one object
+    at one indent always gives the same text, and a shared payload is written
+    once per indent.  The ids stay valid while the caller holds the tree."""
     kind = type(value)
     if kind is str:
         return _quote(value)
-    if kind is int:
-        return int.__repr__(value)
-    if value is None:
-        return "null"
-    if kind is bool:
-        return "true" if value else "false"
     if kind is list:
         if not value:
             return "[]"
         inner = indent + "  "
-        if all(type(x) is str for x in value):
-            body = (",\n" + inner).join(map(_quote, value))
-        else:
-            body = (",\n" + inner).join([_json(x, inner) for x in value])
-        return f"[\n{inner}{body}\n{indent}]"
-    if kind is dict and all(type(k) is str for k in value):
+        sep = ",\n" + inner
+        head = value[0]
+        if type(head) is str:
+            try:
+                return f"[\n{inner}{sep.join(map(_quote, value))}\n{indent}]"
+            except TypeError:  # not every element is a string
+                pass
+        elif type(head) is list and head and type(head[0]) is str:
+            key = (id(value), indent)
+            text = memo.get(key)
+            if text is None:
+                body = sep.join([_json(x, inner, memo) for x in value])
+                text = memo[key] = f"[\n{inner}{body}\n{indent}]"
+            return text
+        return f"[\n{inner}{sep.join([_json(x, inner, memo) for x in value])}\n{indent}]"
+    if kind is dict:
         if not value:
             return "{}"
-        inner = indent + "  "
-        body = (",\n" + inner).join(
-            [f"{_quote(k)}: {_json(value[k], inner)}" for k in sorted(value)]
-        )
-        return f"{{\n{inner}{body}\n{indent}}}"
+        items = sorted(value.items())
+        # a str key compares only with str keys, so one str key means all are
+        if type(items[0][0]) is str:
+            inner = indent + "  "
+            body = (",\n" + inner).join(
+                [
+                    f"{_quote(k)}: {_quote(v) if type(v) is str else _json(v, inner, memo)}"
+                    for k, v in items
+                ]
+            )
+            return f"{{\n{inner}{body}\n{indent}}}"
+    elif kind is int:
+        return int.__repr__(value)
+    elif value is None:
+        return "null"
+    elif kind is bool:
+        return "true" if value else "false"
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
 
 
 def render_report(report: dict, fmt: str) -> str:
     if fmt == "json":
-        return _json(report, "") + "\n"
+        return _json(report, "", {}) + "\n"
     params = report["parameters"]
     lines = [
         "toupie " + report["tool"]["version"],
@@ -365,9 +397,10 @@ def cmd_sdr_check(job: JobSpec, pres: Presentation, gd):
 def cmd_tor_coalgebra(job: JobSpec, pres: Presentation, gd):
     from .ainf import TorCoalgebra, coalgebra_table
     table = coalgebra_table(TorCoalgebra(gd), job.arity)
+    payloads = _ChainPayloads()
     out = {
         str(n): [
-            {"chain": chain_payload(chain), "terms": _tensor_terms(fs)}
+            {"chain": payloads[chain], "terms": _tensor_terms(fs, payloads)}
             for chain, fs in table[n].items()
         ]
         for n in range(2, job.arity + 1)
@@ -376,9 +409,10 @@ def cmd_tor_coalgebra(job: JobSpec, pres: Presentation, gd):
 
 
 def _product_rows(table: dict, n_max: int) -> dict:
+    payloads = _ChainPayloads()
     return {
         str(n): [
-            {"args": [chain_payload(w) for w in tup], "terms": _chain_terms(fs)}
+            {"args": [payloads[w] for w in tup], "terms": _chain_terms(fs, payloads)}
             for tup, fs in table[n].items()
         ]
         for n in range(2, n_max + 1)
@@ -391,7 +425,7 @@ def cmd_ext_products(job: JobSpec, pres: Presentation, gd):
     return "ok", {"products": _product_rows(table, job.arity)}
 
 
-def _stasheff_payload(gd, arity: int) -> dict:
+def _stasheff_payload(gd, arity: int, payloads: _ChainPayloads) -> dict:
     from .ainf import ExtAlgebra, TorCoalgebra, algebra_table, coalgebra_table
     from .ainf import stasheff_algebra_defects, stasheff_coalgebra_defects
     tor = TorCoalgebra(gd)
@@ -403,11 +437,11 @@ def _stasheff_payload(gd, arity: int) -> dict:
     abad = stasheff_algebra_defects(atab, chains, arity)
     return {
         "coalgebra_defects": [
-            {"arity": n, "chain": chain_payload(c), "defect": _tensor_terms(fs)}
+            {"arity": n, "chain": payloads[c], "defect": _tensor_terms(fs, payloads)}
             for n, c, fs in cbad
         ],
         "algebra_defects": [
-            {"arity": n, "args": [chain_payload(w) for w in tup], "defect": _chain_terms(fs)}
+            {"arity": n, "args": [payloads[w] for w in tup], "defect": _chain_terms(fs, payloads)}
             for n, tup, fs in abad
         ],
     }
@@ -423,9 +457,9 @@ def _subjects(job: JobSpec, gd) -> list:
 
 
 def cmd_stasheff(job: JobSpec, pres: Presentation, gd):
-    result, clean = {}, True
+    result, clean, payloads = {}, True, _ChainPayloads()
     for label, g in _subjects(job, gd):
-        payload = _stasheff_payload(g, job.arity)
+        payload = _stasheff_payload(g, job.arity, payloads)
         clean = clean and not payload["coalgebra_defects"] and not payload["algebra_defects"]
         result[label] = payload
     return ("ok" if clean else "violation"), result
@@ -482,7 +516,7 @@ def cmd_double_dual(job: JobSpec, pres: Presentation, gd):
 
 def cmd_oracle_diff(job: JobSpec, pres: Presentation, gd):
     from .ainf import TorCoalgebra
-    result, clean = {}, True
+    result, clean, payloads = {}, True, _ChainPayloads()
     for label, g in _subjects(job, gd):
         tor = TorCoalgebra(g)
         chains = tor.all_chains()
@@ -495,9 +529,9 @@ def cmd_oracle_diff(job: JobSpec, pres: Presentation, gd):
                     mismatches.append(
                         {
                             "arity": n,
-                            "chain": chain_payload(chain),
-                            "closed": _tensor_terms(closed),
-                            "transfer": _tensor_terms(transfer),
+                            "chain": payloads[chain],
+                            "closed": _tensor_terms(closed, payloads),
+                            "transfer": _tensor_terms(transfer, payloads),
                         }
                     )
         sdr_bad = tor.sdr.verify(job.degree)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import toupie.ainf
 import toupie.chains
+import toupie.cli
 import toupie.presentation
 import toupie.rewriting
 from tests.conftest import (
@@ -763,8 +764,90 @@ json_trees = st.recursive(
 )
 
 
+def assert_writer_matches_json_dumps(value):
+    assert render_report(value, "json") == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
 @given(json_trees)
 @settings(max_examples=300, deadline=None)
 def test_json_report_writer_matches_json_dumps(tree):
     for value in (tree, {"result": tree, "status": [tree, {}]}):
-        assert render_report(value, "json") == json.dumps(value, indent=2, sort_keys=True) + "\n"
+        assert_writer_matches_json_dumps(value)
+
+
+# the writer keeps the text of a list of string lists by its id and indent;
+# these trees hold one such list object at several places and indents
+chain_shaped = st.lists(st.lists(st.text(max_size=4), min_size=1, max_size=3), min_size=1, max_size=4)
+
+
+@st.composite
+def shared_trees(draw):
+    """A tree whose leaves are drawn from a few list objects, each reused as is."""
+    pool = draw(
+        st.lists(
+            chain_shaped | st.lists(json_leaves | chain_shaped, max_size=3), min_size=1, max_size=4
+        )
+    )
+    return draw(
+        st.recursive(
+            st.sampled_from(pool) | json_leaves,
+            lambda kids: st.lists(kids, max_size=4)
+            | st.dictionaries(st.text(max_size=3), kids, max_size=4),
+            max_leaves=20,
+        )
+    )
+
+
+@given(shared_trees())
+@settings(max_examples=200, deadline=None)
+def test_json_report_writer_matches_json_dumps_on_shared_lists(tree):
+    for value in (tree, {"result": tree, "status": [tree, {"x": [[tree]]}]}):
+        assert_writer_matches_json_dumps(value)
+
+
+def test_json_report_writer_on_one_chain_at_every_indent():
+    chain = [["a1"], ["a2", "a3"]]
+    letters = ["b1", "b2"]
+    tree = {
+        "chain": chain,
+        "rows": [chain, {"args": [chain, chain], "terms": [{"chain": chain, "coeff": "-1"}]}],
+        "deep": [[[chain, letters]], chain, letters],
+        "names": letters,
+        "edited": [[chain[0], ["a2", "a3"]], chain[1:], [chain[0], 1]],
+    }
+    assert_writer_matches_json_dumps(tree)
+    assert_writer_matches_json_dumps([tree, tree["rows"], {"again": tree}])
+
+
+@pytest.mark.parametrize("command", ["tor-coalgebra", "ext-products", "stasheff", "oracle-diff"])
+def test_json_reports_with_shared_chain_payloads_match_json_dumps(
+    capsys, tmp_path, monkeypatch, command
+):
+    # the command hands the writer one list per chain, shared by every place
+    # the chain occurs; the report it writes is still json.dumps's text
+    reports = []
+
+    def keep(report, fmt):
+        reports.append(report)
+        return render_report(report, fmt)
+
+    monkeypatch.setattr(toupie.cli, "render_report", keep)
+    path = write_input(tmp_path, lines_presentation(1, 10, 3))
+    _, out, _ = run_cli(capsys, command, path, "--arity", "4", "--seed", "3", "--format", "json")
+    (report,) = reports
+    assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    if command in ("tor-coalgebra", "ext-products"):
+        list_ids = []
+
+        def walk(x):
+            if isinstance(x, dict):
+                x = x.values()
+            elif isinstance(x, list):
+                list_ids.append(id(x))
+            else:
+                return
+            for y in x:
+                walk(y)
+
+        walk(report)
+        assert len(set(list_ids)) < len(list_ids)  # some list sits at two places

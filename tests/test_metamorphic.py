@@ -5,10 +5,19 @@ each relation by a nonzero rational, recombining the non-monomial relations by
 an invertible matrix and appending a combination of them all leave the ideal
 and the branch order as they were, so no command may change its exit code,
 `status` or `result`.
+
+Renaming vertices and arrows is an isomorphism of presentations.  A renaming
+that keeps the sorted order of the names keeps every name-based tie-break, so
+each report, with the names mapped back, is the original byte for byte.  A
+renaming that reverses the order may break ties the other way, so only the
+facts that hold no names are compared: exit code, `status`, Betti numbers,
+dimension, chain counts per degree and table rows per arity.
 """
 import itertools
 import json
 import random
+import re
+import string
 from fractions import Fraction
 
 import pytest
@@ -157,3 +166,113 @@ def test_reports_survive_recombination_on_random_draws(capsys, tmp_path, seed):
 def test_reports_survive_recombination_on_forty_random_draws(capsys, tmp_path):
     for seed in range(40):
         assert_reports_survive_recombination(capsys, tmp_path, random_presentation(seed), seed)
+
+
+# ---------------------------------------------------------------------------
+# renaming vertices and arrows
+
+FRESH = re.compile(r"(?<![A-Za-z0-9_])[VA][a-z]{8}(?![A-Za-z0-9_])")
+
+
+def renamed(payload: dict, rng: random.Random, reverse: bool) -> tuple[dict, dict]:
+    """`payload` with fresh vertex and arrow names that keep (or, with
+    `reverse`, reverse) the sorted order of the old ones; returns it with
+    the map from new names to old."""
+
+    def fresh(names, tag):
+        canon = sorted(set(names))
+        new = set()
+        while len(new) < len(canon):
+            new.add(tag + "".join(rng.choices(string.ascii_lowercase, k=8)))
+        return dict(zip(canon, sorted(new, reverse=reverse)))
+
+    vmap = fresh(payload["vertices"], "V")
+    amap = fresh([a["name"] for a in payload["arrows"]], "A")
+    out = {
+        "vertices": [vmap[v] for v in payload["vertices"]],
+        "arrows": [
+            {"name": amap[a["name"]], "src": vmap[a["src"]], "dst": vmap[a["dst"]]}
+            for a in payload["arrows"]
+        ],
+        "relations": [
+            [{"coeff": t["coeff"], "path": [amap[n] for n in t["path"]]} for t in rel]
+            for rel in payload["relations"]
+        ],
+    }
+    if "order" in payload:
+        out["order"] = [amap[n] for n in payload["order"]]
+    inverse = {new: old for old, new in vmap.items()}
+    inverse.update((new, old) for old, new in amap.items())
+    return out, inverse
+
+
+def written_reports(capsys, tmp_path, payload: dict) -> list:
+    """(command, exit code, written text of `result` through `status`) per command."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    out = []
+    for command in _COMMAND_NAMES:
+        code = main([command, str(path), "--degree", "3", "--arity", "4", "--format", "json"])
+        text = capsys.readouterr().out
+        out.append((command, code, text[text.index('\n  "result": ') : text.index('\n  "tool": ')]))
+    return out
+
+
+def rows_per_arity(table: dict) -> dict:
+    return {n: len(rows) for n, rows in table.items()}
+
+
+def name_free(command: str, code: int, text: str) -> tuple:
+    """The facts of one report that hold no vertex or arrow name."""
+    report = json.loads("{" + text.rstrip(",") + "}")
+    result = report["result"]
+    facts = {}
+    for key in ("betti", "dimension", "counts"):
+        if key in result:
+            facts[key] = result[key]
+    if "coproducts" in result:
+        facts["coproducts"] = rows_per_arity(result["coproducts"])
+    if "products" in result:
+        facts["products"] = rows_per_arity(result["products"])
+    return command, code, report["status"], facts
+
+
+def assert_renaming_invariant(capsys, tmp_path, pres, seed: int):
+    payload = presentation_payload(pres)
+    want = written_reports(capsys, tmp_path, payload)
+    rng = random.Random(seed)
+
+    moved, inverse = renamed(payload, rng, reverse=False)
+    back = [
+        (command, code, FRESH.sub(lambda m: inverse.get(m.group(0), m.group(0)), text))
+        for command, code, text in written_reports(capsys, tmp_path, moved)
+    ]
+    assert back == want
+
+    moved, _ = renamed(payload, rng, reverse=True)
+    got = written_reports(capsys, tmp_path, moved)
+    assert [name_free(*row) for row in got] == [name_free(*row) for row in want]
+
+
+def test_renaming_maps_names_in_and_out_of_order():
+    payload = presentation_payload(three_branch_presentation())
+    for reverse in (False, True):
+        moved, inverse = renamed(payload, random.Random(0), reverse)
+        assert all(FRESH.fullmatch(name) for name in inverse)
+        for names in (moved["vertices"], [a["name"] for a in moved["arrows"]]):
+            assert sorted(names, key=inverse.get) == sorted(names, reverse=reverse)
+        assert [inverse[a["name"]] for a in moved["arrows"]] == [
+            a["name"] for a in payload["arrows"]
+        ]
+
+
+@pytest.mark.parametrize(
+    "make", [three_branch_presentation, overlap_monomial_presentation], ids=["e1", "overlap"]
+)
+def test_reports_invariant_under_renaming_on_fixtures(capsys, tmp_path, make):
+    assert_renaming_invariant(capsys, tmp_path, make(), 0)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_reports_invariant_under_renaming_on_random_draws(capsys, tmp_path, seed):
+    assert_renaming_invariant(capsys, tmp_path, random_presentation(seed), seed)

@@ -23,3 +23,14 @@ def test_demo_running_example_runs_clean(capsys):
     assert demo.main([]) is None
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == "double dual generates the same ideal as gr: True"
+
+
+def test_check_report_writer_runs_clean(capsys, monkeypatch):
+    # the script imports the running example from its neighbour, as it does
+    # when run as `python scripts/check_report_writer.py`
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    check = load_script("check_report_writer")
+    assert check.main() == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith(
+        "28 reports, 0 differ from json.dumps"
+    )
