@@ -18,28 +18,24 @@ from pathlib import Path
 
 from demo_running_example import running_example
 
-from toupie import FormalSum, Presentation, Quiver
 from toupie.cli import _COMMAND_NAMES, main as toupie_main, presentation_payload
 
-
-def line(length: int, k: int) -> Presentation:
-    stops = ["0", *(f"v{j}" for j in range(1, length)), "w"]
-    arrows = [(f"x{j + 1}", s, t) for j, (s, t) in enumerate(zip(stops, stops[1:]))]
-    q = Quiver(stops, arrows)
-    rels = tuple(
-        FormalSum.lift(q.path(*(f"x{j + 1}" for j in range(i, i + k))))
-        for i in range(length - k + 1)
-    )
-    return Presentation(q, rels)
+# line(n, k) comes from the benchmark's input builders (stdlib only), so one
+# module says how that input is built
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from perfbench.workloads import line  # noqa: E402
 
 
 def main() -> int:
-    inputs = {"running-example": running_example(), "line-10-3": line(10, 3)}
+    inputs = {
+        "running-example": presentation_payload(running_example()),
+        "line-10-3": line(10, 3),
+    }
     bad = runs = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for label, pres in inputs.items():
+        for label, payload in inputs.items():
             path = Path(tmp) / f"{label}.json"
-            path.write_text(json.dumps(presentation_payload(pres)))
+            path.write_text(json.dumps(payload))
             for command in _COMMAND_NAMES:
                 out = io.StringIO()
                 with contextlib.redirect_stdout(out):

@@ -134,12 +134,8 @@ def _term_key(x):
     if isinstance(x, Path):
         return (1, x.sort_key())
     if isinstance(x, tuple):
-        return (2, tuple(map(_term_key, x)))
+        return (2, tuple(_term_key(y) for y in x))
     return (3, x)
-
-
-def _item_key(kc):
-    return _term_key(kc[0])
 
 
 def _exact(c):
@@ -255,11 +251,7 @@ class FormalSum:
         return bool(self.terms)
 
     def items(self):
-        """(key, coeff) pairs in `_term_key` order."""
-        terms = self.terms
-        if len(terms) < 2:
-            return list(terms.items())
-        return sorted(terms.items(), key=_item_key)
+        return sorted(self.terms.items(), key=lambda kc: _term_key(kc[0]))
 
     def coeff(self, key):
         return self.terms.get(key, 0)
