@@ -3,12 +3,13 @@
 The chains carry a minimal coalgebra model of the bar complex: a family of
 higher coproducts transferred through the matching homotopy.  Two
 implementations live side by side: `transfer_delta` evaluates the recursive
-transfer formula with the zigzag maps (the oracle), while `closed_delta` cuts
-the supporting paths into chains directly and is cached once per arity
-(`coproduct_layer`).  The higher products on dual chains (`ExtAlgebra.m`) are
-the signed transpose of that layer, and `stasheff_*_defects` verify the
-coherence identities on materialized tables, each built from the table's
-nonzero entries.
+transfer formula with the zigzag maps (the oracle), projecting each tensor
+slot where the recursion makes it (`TorCoalgebra._delta_bar`), while
+`closed_delta` cuts the supporting paths into chains directly and is cached
+once per arity (`coproduct_layer`).  The higher products on dual chains
+(`ExtAlgebra.m`) are the signed transpose of that layer, and
+`stasheff_*_defects` verify the coherence identities on materialized tables,
+each built from the table's nonzero entries.
 
 Conventions (fixed once, used everywhere):
   * a word of k letters has degree k; the homotopy has degree +1;
@@ -20,8 +21,6 @@ Conventions (fixed once, used everywhere):
   * product prefactor: (-1)^(n(|f1|+...+|fn|)).
 """
 from __future__ import annotations
-
-from itertools import product
 
 from .chains import ChainGraph
 from .morse import BarSDR
@@ -71,17 +70,32 @@ class TorCoalgebra:
     # -- transfer (oracle) -------------------------------------------------
 
     def _delta_h(self, s: int, word) -> FormalSum:
-        # Delta_s after the homotopy, with the s = 1 factor acting as the identity
-        if s == 1:
-            return FormalSum.lift((word,))
-        return self.sdr.complex.h(word).map_terms(lambda w: self._delta_bar(s, w))
+        """Delta_s after the homotopy, each slot projected; kept once per (s, word).
+
+        The s = 1 factor is the projection p(word) as 1-slot tuples (see
+        `_delta_bar` for why that is exact).
+        """
+        key = (s, word)
+        got = self._bar_memo.get(key)
+        if got is None:
+            cx = self.sdr.complex
+            if s == 1:
+                got = FormalSum(((k,), c) for k, c in cx.p(word).terms.items())
+            else:
+                got = cx.h(word).map_terms(lambda w: self._delta_bar(s, w))
+            self._bar_memo[key] = got
+        return got
 
     def _delta_bar(self, n: int, word) -> FormalSum:
-        """n-fold coproduct (n >= 2) on the bar complex, pushed through the homotopy."""
-        key = (n, word)
-        got = self._bar_memo.get(key)
-        if got is not None:
-            return got
+        """n-fold coproduct (n >= 2) on the bar complex, pushed through the homotopy,
+        with the projection p applied slotwise.
+
+        Every slot of a term is the word u of some s = 1 factor, and the sign of
+        an (s, t)-split reads only s, t and the split's letter count, never a
+        slot; p has degree 0, so projecting each slot at its s = 1 factor equals
+        projecting the finished tensor slotwise, and a zero p(u) prunes the
+        branch before it is built.
+        """
         out = FormalSum()
         for i in range(1, len(word)):
             u, v = word[:i], word[i:]
@@ -95,24 +109,11 @@ class TorCoalgebra:
                 for lk, lc in left.terms.items():
                     for rk, rc in right.terms.items():
                         out.add_term(lk + rk, sign * lc * rc)
-        self._bar_memo[key] = out
         return out
 
     def transfer_delta(self, n: int, chain) -> FormalSum:
-        """Delta_n(chain) through the zigzag: include, coproduct, project each slot."""
-        chain = tuple(chain)
-        out = FormalSum()
-        if n >= 2:
-            cx = self.sdr.complex
-            for w, c in cx.i(chain).terms.items():
-                for tw, tc in self._delta_bar(n, w).terms.items():
-                    # the projection has degree 0: expand slotwise, no signs
-                    for combo in product(*(cx.p(x).terms.items() for x in tw)):
-                        coeff = c * tc
-                        for _, pc in combo:
-                            coeff *= pc
-                        out.add_term(tuple(k for k, _ in combo), coeff)
-        return out
+        """Delta_n(chain) through the zigzag: include, then the projected coproduct."""
+        return self.sdr.complex.i(tuple(chain)).map_terms(lambda w: self._delta_bar(n, w))
 
     # -- closed form ---------------------------------------------------------
 

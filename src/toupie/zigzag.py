@@ -24,9 +24,10 @@ class BasedComplex:
         coefficient of lower in diff(upper) must be nonzero.
     `degree`: cell -> int
 
-    Differentials, statuses and dotted weights are computed on first use and
-    kept.  A matched pair is checked the first time either cell is read;
-    `match(cell)` hands out the checked (status, partner).
+    Differentials, statuses, dotted weights, the values of `p` and `i` and the
+    nonzero values of `h` are computed on first use and kept, so read them
+    without editing.  A matched pair is checked the first time either cell is
+    read; `match(cell)` hands out the checked (status, partner).
     """
 
     def __init__(self, diff, match, degree):
@@ -37,6 +38,7 @@ class BasedComplex:
         self._status: dict = {}  # cell -> (status, partner)
         self._weight: dict = {}  # lower cell -> dotted weight
         self._p_cache: dict = {}
+        self._h_cache: dict = {}
         self._I_cache: dict = {}
         self._busy: set = set()
 
@@ -131,10 +133,15 @@ class BasedComplex:
 
     def h(self, cell) -> FormalSum:
         """The homotopy (degree +1); zero off the up-matched cells."""
-        st, hi = self.match(cell)
-        if st != "lower":
-            return FormalSum()
-        return self._walk_up(hi).scale(-self._weight[cell])
+        got = self._h_cache.get(cell)
+        if got is None:
+            st, hi = self.match(cell)
+            if st != "lower":
+                return FormalSum()
+            walk, c = self._walk_up(hi), -self._weight[cell]
+            # a unit weight hands out the kept walk itself, not a copy
+            got = self._h_cache[cell] = walk if c == 1 else walk.scale(c)
+        return got
 
     def morse_diff(self, cell) -> FormalSum:
         """Differential induced on critical cells."""
@@ -145,25 +152,32 @@ class BasedComplex:
 
 def verify_sdr(cx: BasedComplex, cells) -> list[str]:
     """Check the transfer identities on `cells`, taken in degree order; return
-    human-readable violations."""
+    human-readable violations.  A zero d(c), h(c) or p(c) is not composed: its
+    composites are zero."""
     bad = []
     cells = sorted(cells, key=cx.degree)
     for c in cells:
-        if cx.diff(c).map_terms(cx.diff):
+        dc = cx.diff(c)
+        if dc and dc.map_terms(cx.diff):
             bad.append(f"d∘d != 0 at {c!r}")
-        hc = cx.h(c)
-        lhs = FormalSum.lift(c) - cx.p(c).map_terms(cx.i)
-        rhs = hc.map_terms(cx.diff) + cx.diff(c).map_terms(cx.h)
+        hc, pc = cx.h(c), cx.p(c)
+        lhs = FormalSum.lift(c)
+        if pc:
+            lhs.add_scaled(pc.map_terms(cx.i), -1)
+        rhs = hc.map_terms(cx.diff) if hc else FormalSum()
+        if dc:
+            rhs.add_scaled(dc.map_terms(cx.h))
         if lhs != rhs:
             bad.append(f"id - i∘p != d∘h + h∘d at {c!r}")
-        if hc.map_terms(cx.h):
+        if hc and hc.map_terms(cx.h):
             bad.append(f"h∘h != 0 at {c!r}")
-        if hc.map_terms(cx.p):
+        if hc and hc.map_terms(cx.p):
             bad.append(f"p∘h != 0 at {c!r}")
     for c in cells:
         if cx.status(c) == "critical":
-            if cx.i(c).map_terms(cx.p) != FormalSum.lift(c):
+            ic = cx.i(c)
+            if ic.map_terms(cx.p) != FormalSum.lift(c):
                 bad.append(f"p∘i != id at {c!r}")
-            if cx.i(c).map_terms(cx.h):
+            if ic.map_terms(cx.h):
                 bad.append(f"h∘i != 0 at {c!r}")
     return bad

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import strategies as st
@@ -373,6 +374,49 @@ def closed_m(ext, duals) -> FormalSum:
     )
     out.add_term(gamma, (-1) ** m_exp)
     return out
+
+
+def unprojected_transfer(cx):
+    """Delta_n(chain) by the transfer formula through the zigzag maps of `cx`,
+    with the s = 1 factors as the identity and the projection applied slotwise
+    to each finished tensor; the coproducts on bar words are kept across calls.
+
+    `TorCoalgebra.transfer_delta` projects each slot at its s = 1 factor
+    instead; this is the form it is checked against.
+    """
+    memo = {}
+
+    def delta_h(s, word):
+        if s == 1:
+            return FormalSum.lift((word,))
+        return cx.h(word).map_terms(lambda w: delta_bar(s, w))
+
+    def delta_bar(n, word):
+        got = memo.get((n, word))
+        if got is None:
+            got = memo[(n, word)] = FormalSum()
+            for i in range(1, len(word)):
+                u, v = word[:i], word[i:]
+                for s in range(1, n):
+                    t = n - s
+                    sign = (-1) ** (s * (t + 1) + (t - 1) * i)
+                    for lk, lc in delta_h(s, u).terms.items():
+                        for rk, rc in delta_h(t, v).terms.items():
+                            got.add_term(lk + rk, sign * lc * rc)
+        return got
+
+    def delta(n, chain):
+        out = FormalSum()
+        for w, c in cx.i(tuple(chain)).terms.items():
+            for tw, tc in delta_bar(n, w).terms.items():
+                for combo in product(*(cx.p(x).terms.items() for x in tw)):
+                    coeff = c * tc
+                    for _, pc in combo:
+                        coeff *= pc
+                    out.add_term(tuple(k for k, _ in combo), coeff)
+        return out
+
+    return delta
 
 
 def listed_matching(cells_by_degree: dict, matching: dict):

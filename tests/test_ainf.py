@@ -10,10 +10,12 @@ from tests.conftest import (
     lines_presentation,
     monomial_presentations,
     overlap_monomial_presentation,
+    plain_beside_quadratic_presentation,
     single_chain_presentation,
     stasheff_algebra_defects_by_tuples,
     stasheff_coalgebra_defects_dense,
     three_branch_presentation,
+    unprojected_transfer,
 )
 from toupie.ainf import (
     ExtAlgebra,
@@ -25,6 +27,7 @@ from toupie.ainf import (
 )
 from toupie.anick import AnickResolution
 from toupie.chains import underlying_path
+from toupie.morse import BarSDR
 from toupie.presentation import FormalSum
 from toupie.random_presentations import random_presentation
 from toupie.rewriting import build_groebner
@@ -99,6 +102,37 @@ def test_coproduct_shifted_cubic_tips_both_terms():
     got = tor.closed_delta(2, two)
     assert got == lift(((d1,), (d2, d34)), ((d1, d23), (d4,)))
     assert got == tor.transfer_delta(2, two)
+
+
+TRANSFER_INPUTS = {
+    "three-branch": three_branch_presentation,
+    "line-10-3": lambda: lines_presentation(1, 10, 3),
+    "line-12-7": lambda: lines_presentation(1, 12, 7),
+    "2xline-6-3": lambda: lines_presentation(2, 6, 3),
+    "plain-8": lambda: plain_beside_quadratic_presentation(8),
+    **{f"random-{seed}": (lambda seed=seed: random_presentation(seed)) for seed in range(10)},
+}
+
+
+def assert_transfer_is_unprojected_oracle(pres):
+    gd = build_groebner(pres)
+    tor = TorCoalgebra(gd)
+    # the oracle reads its own bar complex, so no cached value is shared
+    oracle = unprojected_transfer(BarSDR(gd).complex)
+    for n in range(2, 6):
+        for c in tor.all_chains():
+            assert tor.transfer_delta(n, c) == oracle(n, c), (n, c)
+
+
+@pytest.mark.parametrize("name", list(TRANSFER_INPUTS))
+def test_transfer_delta_equals_unprojected_oracle(name):
+    assert_transfer_is_unprojected_oracle(TRANSFER_INPUTS[name]())
+
+
+@pytest.mark.stress
+def test_transfer_delta_equals_unprojected_oracle_on_random_draws():
+    for seed in range(40):
+        assert_transfer_is_unprojected_oracle(random_presentation(seed))
 
 
 def test_closed_equals_transfer_on_fixtures(three_branch, overlap_monomial):

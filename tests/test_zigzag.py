@@ -153,3 +153,58 @@ def test_a_broken_pair_raises_on_first_use(message, reader, cell):
     # a failed check keeps nothing: the next use raises again
     with pytest.raises(ValueError, match=message):
         cx.status(cell)
+
+
+# x1 -> y1 and y2 -> z matched; x2, w and v critical (d(w) = d(v) = 0)
+SQUARE = (
+    {0: ["x1", "x2"], 1: ["y1", "y2", "w"], 2: ["z", "v"]},
+    {"x1": "y1", "y2": "z"},
+)
+
+
+def square_complex(d_z=None):
+    cells, matching = SQUARE
+    diffs = {"y1": span(x1=1, x2=-1), "y2": span(x2=1, x1=-1), "z": d_z or span(y1=1, y2=1)}
+    return listed(cells, lambda c: diffs.get(c, FormalSum()), matching)
+
+
+def corrupt(cx, name, cell, extra):
+    """Shadow `cx.<name>` on the instance: its value at `cell` gains `extra`."""
+    good = getattr(cx, name)
+    setattr(cx, name, lambda c: good(c) + extra if c == cell else good(c))
+
+
+def _id(c):
+    return f"id - i∘p != d∘h + h∘d at {c!r}"
+
+
+# (map, cell, added term, violations in report order)
+CORRUPTIONS = [
+    ("h", "x1", span(y2=1), [_id("x1"), "h∘h != 0 at 'x1'", _id("y1"), _id("y2")]),
+    ("h", "x1", span(w=1), ["p∘h != 0 at 'x1'", _id("y1"), _id("y2")]),
+    ("h", "w", span(z=1), [_id("w"), "h∘i != 0 at 'w'"]),
+    # y2 has d(y2) != 0 and p(y2) = 0
+    ("h", "y2", span(v=1), ["p∘h != 0 at 'y2'", _id("z")]),
+    ("p", "y1", span(w=1), ["p∘h != 0 at 'x1'", _id("y1")]),
+    ("p", "w", span(w=1), [_id("w"), "p∘i != id at 'w'"]),
+    ("i", "w", span(y2=1), [_id("w"), "h∘i != 0 at 'w'"]),
+    ("i", "w", span(w=1), [_id("w"), "p∘i != id at 'w'"]),
+]
+
+
+@pytest.mark.parametrize("name, cell, extra, want", CORRUPTIONS)
+def test_verify_sdr_reports_a_corrupted_map(name, cell, extra, want):
+    cx, cells = square_complex()
+    assert verify_sdr(cx, cells) == []
+    corrupt(cx, name, cell, extra)
+    assert verify_sdr(cx, cells) == want
+
+
+def test_verify_sdr_reports_every_violation_kind():
+    # a non-differential d(z) = 2 y1 + y2 breaks d∘d at z; together with the
+    # corruptions above, each of the six identities is reported somewhere
+    cx, cells = square_complex(span(y1=2, y2=1))
+    got = verify_sdr(cx, cells)
+    assert got == [_id("y2"), "d∘d != 0 at 'z'"]
+    kinds = {m.split(" at ")[0] for _, _, _, want in CORRUPTIONS for m in want + got}
+    assert kinds == {"d∘d != 0", "id - i∘p != d∘h + h∘d", "h∘h != 0", "p∘h != 0", "p∘i != id", "h∘i != 0"}
