@@ -70,20 +70,17 @@ class TorCoalgebra:
     # -- transfer (oracle) -------------------------------------------------
 
     def _delta_h(self, s: int, word) -> FormalSum:
-        """Delta_s after the homotopy, each slot projected; kept once per (s, word).
+        """Delta_s after the homotopy, each slot projected; stored in `_bar_memo` under (s, word).
 
         The s = 1 factor is the projection p(word) as 1-slot tuples (see
         `_delta_bar` for why that is exact).
         """
-        key = (s, word)
-        got = self._bar_memo.get(key)
-        if got is None:
-            cx = self.sdr.complex
-            if s == 1:
-                got = FormalSum(((k,), c) for k, c in cx.p(word).terms.items())
-            else:
-                got = cx.h(word).map_terms(lambda w: self._delta_bar(s, w))
-            self._bar_memo[key] = got
+        cx = self.sdr.complex
+        if s == 1:
+            got = FormalSum(((k,), c) for k, c in cx.p(word).terms.items())
+        else:
+            got = cx.h(word).map_terms(lambda w: self._delta_bar(s, w))
+        self._bar_memo[s, word] = got
         return got
 
     def _delta_bar(self, n: int, word) -> FormalSum:
@@ -96,15 +93,20 @@ class TorCoalgebra:
         projecting the finished tensor slotwise, and a zero p(u) prunes the
         branch before it is built.
         """
+        memo = self._bar_memo
         out = FormalSum()
         for i in range(1, len(word)):
             u, v = word[:i], word[i:]
             for s in range(1, n):
                 t = n - s
-                left = self._delta_h(s, u)
+                left = memo.get((s, u))
+                if left is None:
+                    left = self._delta_h(s, u)
                 if left.is_zero:
                     continue
-                right = self._delta_h(t, v)
+                right = memo.get((t, v))
+                if right is None:
+                    right = self._delta_h(t, v)
                 sign = (-1) ** (s * (t + 1) + (t - 1) * i)
                 for lk, lc in left.terms.items():
                     for rk, rc in right.terms.items():

@@ -18,9 +18,9 @@ A whole-branch tip is contained only in itself, so one such index serves
 monomial and non-monomial tips alike.
 
 `rref` and `special_basis` are fraction-free: they clear each row's
-denominators once, do every row operation on integer vectors, and divide into
-`Fraction`s once at the end, so no entry is normalised per operation.  Their
-results are exactly those of the same operations done over `Fraction`.
+denominators once and work on integer vectors, so no entry is normalised per
+operation (`rref` eliminates below each pivot, then back-substitutes on the free
+columns only).  Their results are exactly those of the same work over `Fraction`.
 """
 from __future__ import annotations
 
@@ -36,6 +36,7 @@ __all__ = [
 
 
 _ZERO = Fraction(0)  # shared by every zero entry returned
+_ONE = Fraction(1)  # shared by every pivot entry of `rref`
 
 
 def _integer_row(row):
@@ -54,30 +55,54 @@ def _primitive(v):
 def rref(rows):
     """Reduced row echelon form over Q.  Returns (rows_without_zero_rows, pivot_columns).
 
-    Fraction-free: each row is scaled to a primitive integer vector, eliminated
-    as p*row - f*pivot_row over Z (then divided by its content), and divided by
-    its pivot once at the end.  The entries returned are `Fraction`s.
+    Fraction-free, in two phases: forward elimination clears each pivot from the
+    rows below it over Z (p*row - f*pivot_row right of the pivot, kept primitive),
+    then back-substitution walks up the pivot rows on the free columns only, each
+    row an integer vector over a positive denominator.  Entries are `Fraction`s.
     """
     m = [_primitive(_integer_row(row)[0]) for row in rows]
     ncols = len(m[0]) if m else 0
-    pivots = []
+    pivots, free = [], []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot is None:
+        for pivot in range(r, len(m)):
+            if m[pivot][c]:
+                break
+        else:
+            free.append(c)
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        prow = m[r]
-        p = prow[c]
-        for i, row in enumerate(m):
+        p, tail = m[r][c], m[r][c + 1 :]
+        for row in m[r + 1 :]:
             f = row[c]
-            if f and i != r:
-                m[i] = _primitive([p * a - f * b for a, b in zip(row, prow)])
+            if f:  # row[c] is left as it is: no later step reads it
+                row[c + 1 :] = _primitive([p * a - f * b for a, b in zip(row[c + 1 :], tail)])
         pivots.append(c)
         r += 1
-        if r == len(m):
-            break
-    return [[Fraction(a, row[c]) if a else _ZERO for a in row] for row, c in zip(m, pivots)], pivots
+    if not (r and free):  # no pivot, or no free column: nothing to back-substitute
+        return [[_ONE if j == c else _ZERO for j in range(ncols)] for c in pivots], pivots
+    out, solved = [None] * r, [None] * r  # solved[k] = (v, d): row k is v/d on `free`
+    for k in range(r - 1, -1, -1):
+        row = m[k]
+        v, d = [row[j] for j in free], 1
+        for j in range(k + 1, r):
+            a = row[pivots[j]]
+            if a:  # v/d - a * vj/dj over the least common denominator
+                vj, dj = solved[j]
+                g = gcd(d, dj)
+                s, t = dj // g, a * (d // g)
+                v, d = [x * s - t * y for x, y in zip(v, vj)], d * s
+        d *= row[pivots[k]]
+        g = gcd(d, *v) if d > 0 else -gcd(d, *v)  # to lowest terms, denominator positive
+        if g != 1:
+            v, d = [x // g for x in v], d // g
+        solved[k] = v, d
+        line = out[k] = [_ZERO] * ncols
+        line[pivots[k]] = _ONE
+        for j, x in zip(free, v):
+            if x:
+                line[j] = Fraction(x, d)
+    return out, pivots
 
 
 def special_basis(rows):

@@ -1,6 +1,7 @@
 """Shared fixtures: the two algebras every other test file leans on."""
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -237,6 +238,15 @@ def fraction_rref(rows: list) -> list:
                 m[i] = [x - f * y for x, y in zip(m[i], m[r])]
         r += 1
     return m[:r]
+
+
+def wide_matrix(branches: int = 32, relations: int = 24, seed: int = 20240112) -> list:
+    """The coefficient matrix of the wide dual-construction input: `relations`
+    rows over `branches` parallel length-2 branches, every entry drawn from
+    +-{1, 2, 3} with a fixed seed, row by row (the draws of the benchmark's
+    wide-dual input, so this is its relation matrix)."""
+    rng = random.Random(seed)
+    return [[rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(branches)] for _ in range(relations)]
 
 
 def ideal_rows(p: Presentation) -> list:

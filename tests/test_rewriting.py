@@ -15,6 +15,7 @@ from toupie.random_presentations import random_presentation
 from toupie.rewriting import GroebnerData, build_groebner, classify_branches, rref, special_basis
 from tests.conftest import (
     all_paths,
+    fraction_rref,
     lines_presentation,
     monomial_presentations,
     occurs,
@@ -23,6 +24,7 @@ from tests.conftest import (
     plain_beside_quadratic_presentation,
     single_chain_presentation,
     three_branch_presentation,
+    wide_matrix,
 )
 
 entries = st.one_of(
@@ -64,6 +66,59 @@ def test_rref_matches_sympy(rows):
     assert list(pivots) == list(piv)
     kept = [[Fraction(int(ref[i, j].p), int(ref[i, j].q)) for j in range(ref.cols)] for i in range(len(piv))]
     assert ours == kept
+
+
+def assert_rref_exact(rows):
+    """`rref` equals plain Gauss-Jordan over Fraction: rows, pivots and entry types."""
+    ours, pivots = rref(rows)
+    want = fraction_rref(rows)
+    assert ours == want
+    assert pivots == [next(j for j, x in enumerate(row) if x) for row in want]
+    assert all_fractions(ours)
+
+
+def test_rref_wide_matrix():
+    """24 dense rows over 32 columns (8 free), and its transpose (no free column)."""
+    m = wide_matrix()
+    assert len(rref(m)[1]) == 24
+    assert_rref_exact(m)
+    assert_rref_exact([list(col) for col in zip(*m)])
+
+
+def test_rref_kernel_style_rows():
+    """Rows with ~20-digit denominators beside an identity block, as the dual
+    constructions reduce them: the wide matrix's reduced free block X next to
+    I_24, and its kernel basis (-X^T beside I_8)."""
+    x = [row[24:] for row in fraction_rref(wide_matrix())]
+    assert max(len(str(a.denominator)) for row in x for a in row) >= 18
+    assert_rref_exact([row + [int(i == j) for j in range(24)] for i, row in enumerate(x)])
+    assert_rref_exact([[-row[f] for row in x] + [int(f == j) for j in range(8)] for f in range(8)])
+
+
+@st.composite
+def rank_deficient_matrices(draw, max_rows=12, max_cols=16):
+    """Up to 12x16: combinations of fewer echelon rows than rows, with pivots at
+    random columns (so free columns between them), plus a zero and a duplicate row."""
+    ncols = draw(st.integers(2, max_cols))
+    pivots = draw(st.sets(st.integers(0, ncols - 1), min_size=1, max_size=min(ncols - 1, max_rows - 3)))
+    basis = []
+    for c in sorted(pivots):
+        tail = draw(st.lists(entries, min_size=ncols - c - 1, max_size=ncols - c - 1))
+        basis.append([0] * c + [draw(entries.filter(bool))] + tail)
+    combos = st.lists(st.integers(-3, 3), min_size=len(basis), max_size=len(basis))
+    rows = [
+        [sum(a * b[j] for a, b in zip(k, basis)) for j in range(ncols)]
+        for k in draw(st.lists(combos, min_size=len(basis) + 1, max_size=max_rows - 2))
+    ]
+    rows.insert(draw(st.integers(0, len(rows))), [0] * ncols)
+    rows.insert(draw(st.integers(0, len(rows))), list(draw(st.sampled_from(rows))))
+    return rows
+
+
+@given(rank_deficient_matrices())
+@settings(max_examples=60)
+def test_rref_rank_deficient_matches_fraction_gauss_jordan(rows):
+    assert_rref_exact(rows)
 
 
 def textbook_special_basis(rows):
