@@ -35,9 +35,10 @@ from typing import Optional
 
 from . import __version__
 # every job parses with this module; `_run` and each command import what they run
-from .presentation import FormalSum, Path, Presentation, Quiver
+from .presentation import Arrow, FormalSum, Path, Presentation, Quiver
 
 _RATIONAL = re.compile(r"^-?\d+(?:/[1-9]\d*)?$")
+_TOP_KEYS = {"vertices", "arrows", "relations", "order"}
 _ARROW_KEYS = {"name", "src", "dst"}
 _TERM_KEYS = {"coeff", "path"}
 
@@ -71,100 +72,116 @@ class JobSpec:
 # input parsing
 
 
-def _expect(cond, fmt: str, *args):
-    # formats the message only on failure, so valid input builds no error strings
-    if not cond:
-        raise InputError(fmt.format(*args))
+def _error(fmt: str, *args) -> InputError:
+    # built only once a check has failed, so valid input formats no message
+    return InputError(fmt.format(*args))
 
 
 def parse_presentation(data, where: str = "input") -> Presentation:
     """Build a Presentation from decoded JSON, annotating errors with the
-    path of the offending element (e.g. ``file.json.relations[1][0].coeff``)."""
-    _expect(isinstance(data, dict), "{}: expected a JSON object", where)
-    extra = sorted(set(data) - {"vertices", "arrows", "relations", "order"})
-    _expect(not extra, "{}: unknown keys {}", where, extra)
+    path of the offending element (e.g. ``file.json.relations[1][0].coeff``).
+
+    Each check tests the exact JSON type first and falls back to `isinstance`,
+    so subclasses of str, dict and list pass as before."""
+    if type(data) is not dict and not isinstance(data, dict):
+        raise _error("{}: expected a JSON object", where)
+    if not data.keys() <= _TOP_KEYS:
+        raise _error("{}: unknown keys {}", where, sorted(set(data) - _TOP_KEYS))
     for key in ("vertices", "arrows", "relations"):
-        _expect(key in data, "{}: missing key {!r}", where, key)
+        if key not in data:
+            raise _error("{}: missing key {!r}", where, key)
 
     verts = data["vertices"]
-    _expect(isinstance(verts, list) and verts, "{}.vertices: expected a nonempty list", where)
+    if not ((type(verts) is list or isinstance(verts, list)) and verts):
+        raise _error("{}.vertices: expected a nonempty list", where)
     for i, v in enumerate(verts):
-        _expect(isinstance(v, str), "{}.vertices[{}]: expected a string", where, i)
+        if type(v) is not str and not isinstance(v, str):
+            raise _error("{}.vertices[{}]: expected a string", where, i)
     vert_set = set(verts)
-    _expect(len(vert_set) == len(verts), "{}.vertices: duplicate vertex names", where)
+    if len(vert_set) != len(verts):
+        raise _error("{}.vertices: duplicate vertex names", where)
 
     raw_arrows = data["arrows"]
-    _expect(isinstance(raw_arrows, list), "{}.arrows: expected a list", where)
-    arrows = []
-    seen = set()
+    if type(raw_arrows) is not list and not isinstance(raw_arrows, list):
+        raise _error("{}.arrows: expected a list", where)
+    by_name = {}
     for i, item in enumerate(raw_arrows):
-        _expect(isinstance(item, dict), "{}.arrows[{}]: expected an object", where, i)
+        if type(item) is not dict and not isinstance(item, dict):
+            raise _error("{}.arrows[{}]: expected an object", where, i)
         if item.keys() != _ARROW_KEYS:
             extra = sorted(set(item) - _ARROW_KEYS)
-            _expect(not extra, "{}.arrows[{}]: unknown keys {}", where, i, extra)
-        for key in ("name", "src", "dst"):
-            if not isinstance(item.get(key), str):
-                _expect(key in item, "{}.arrows[{}]: missing key {!r}", where, i, key)
-                raise InputError(f"{where}.arrows[{i}].{key}: expected a string")
-        name, src, dst = item["name"], item["src"], item["dst"]
-        _expect(src in vert_set, "{}.arrows[{}].src: unknown vertex {!r}", where, i, src)
-        _expect(dst in vert_set, "{}.arrows[{}].dst: unknown vertex {!r}", where, i, dst)
-        _expect(name not in seen, "{}.arrows[{}].name: duplicate arrow name {!r}", where, i, name)
-        seen.add(name)
-        arrows.append((name, src, dst))
-    quiver = Quiver(tuple(verts), tuple(arrows))
-    by_name = quiver.arrow_by_name
+            if extra:
+                raise _error("{}.arrows[{}]: unknown keys {}", where, i, extra)
+        name, src, dst = item.get("name"), item.get("src"), item.get("dst")
+        if not (type(name) is str and type(src) is str and type(dst) is str):
+            for key in ("name", "src", "dst"):
+                if not isinstance(item.get(key), str):
+                    if key not in item:
+                        raise _error("{}.arrows[{}]: missing key {!r}", where, i, key)
+                    raise _error("{}.arrows[{}].{}: expected a string", where, i, key)
+        if src not in vert_set:
+            raise _error("{}.arrows[{}].src: unknown vertex {!r}", where, i, src)
+        if dst not in vert_set:
+            raise _error("{}.arrows[{}].dst: unknown vertex {!r}", where, i, dst)
+        if name in by_name:
+            raise _error("{}.arrows[{}].name: duplicate arrow name {!r}", where, i, name)
+        by_name[name] = Arrow(name, src, dst)
+    quiver = Quiver(tuple(verts), tuple(by_name.values()))
 
     raw_rels = data["relations"]
-    _expect(isinstance(raw_rels, list), "{}.relations: expected a list", where)
+    if type(raw_rels) is not list and not isinstance(raw_rels, list):
+        raise _error("{}.relations: expected a list", where)
     relations = []
     for i, terms in enumerate(raw_rels):
-        _expect(
-            isinstance(terms, list) and terms,
-            "{}.relations[{}]: expected a nonempty list of terms", where, i,
-        )
+        if not ((type(terms) is list or isinstance(terms, list)) and terms):
+            raise _error("{}.relations[{}]: expected a nonempty list of terms", where, i)
         rel = FormalSum()
         for j, term in enumerate(terms):
-            _expect(isinstance(term, dict), "{}.relations[{}][{}]: expected an object", where, i, j)
+            if type(term) is not dict and not isinstance(term, dict):
+                raise _error("{}.relations[{}][{}]: expected an object", where, i, j)
             if term.keys() != _TERM_KEYS:
                 extra = sorted(set(term) - _TERM_KEYS)
-                _expect(not extra, "{}.relations[{}][{}]: unknown keys {}", where, i, j, extra)
+                if extra:
+                    raise _error("{}.relations[{}][{}]: unknown keys {}", where, i, j, extra)
                 for key in ("coeff", "path"):
-                    _expect(key in term, "{}.relations[{}][{}]: missing key {!r}", where, i, j, key)
+                    if key not in term:
+                        raise _error("{}.relations[{}][{}]: missing key {!r}", where, i, j, key)
             coeff = term["coeff"]
-            _expect(
-                isinstance(coeff, str) and _RATIONAL.match(coeff),
-                '{}.relations[{}][{}].coeff: expected an exact rational written "n" or "n/d"',
-                where, i, j,
-            )
+            if not ((type(coeff) is str or isinstance(coeff, str)) and _RATIONAL.match(coeff)):
+                raise _error(
+                    '{}.relations[{}][{}].coeff: expected an exact rational written "n" or "n/d"',
+                    where, i, j,
+                )
             names = term["path"]
-            _expect(
-                isinstance(names, list) and names,
-                "{}.relations[{}][{}].path: expected a nonempty list of arrow names", where, i, j,
-            )
+            if not ((type(names) is list or isinstance(names, list)) and names):
+                raise _error(
+                    "{}.relations[{}][{}].path: expected a nonempty list of arrow names", where, i, j
+                )
             try:
                 arrs = tuple([by_name[nm] for nm in names])
                 path = Path(arrs[0].src, arrs)
             except (KeyError, TypeError):
                 for k, nm in enumerate(names):
-                    _expect(
-                        isinstance(nm, str),
-                        "{}.relations[{}][{}].path[{}]: expected a string", where, i, j, k,
-                    )
-                    _expect(
-                        nm in by_name,
-                        "{}.relations[{}][{}].path[{}]: unknown arrow {!r}", where, i, j, k, nm,
-                    )
+                    if not isinstance(nm, str):
+                        raise _error(
+                            "{}.relations[{}][{}].path[{}]: expected a string", where, i, j, k
+                        )
+                    if nm not in by_name:
+                        raise _error(
+                            "{}.relations[{}][{}].path[{}]: unknown arrow {!r}", where, i, j, k, nm
+                        )
                 raise  # not reached: a failed lookup fails one of the checks
             except ValueError as err:
                 raise InputError(f"{where}.relations[{i}][{j}].path: {err}") from err
             # `_RATIONAL` has checked the string, so both give the same exact rational
             rel.add_term(path, Fraction(coeff) if "/" in coeff else int(coeff))
-        _expect(not rel.is_zero, "{}.relations[{}]: terms cancel to zero", where, i)
+        if not rel.terms:
+            raise _error("{}.relations[{}]: terms cancel to zero", where, i)
         relations.append(rel)
 
     order = data.get("order", [])
-    _expect(isinstance(order, list), "{}.order: expected a list", where)
+    if type(order) is not list and not isinstance(order, list):
+        raise _error("{}.order: expected a list", where)
     try:
         return Presentation(quiver, tuple(relations), order=tuple(order))
     except ValueError as err:  # a bad `order` entry, located as "order[i]: ..."
@@ -318,7 +335,7 @@ def cmd_validate(job: JobSpec, pres: Presentation, gd):
         "sink": branches[0].target,
         "vertices": len(pres.quiver.vertices),
         "arrows": len(pres.quiver.arrows),
-        "branch_lengths": sorted((len(b) for b in branches), reverse=True),
+        "branch_lengths": sorted([len(b.arrows) for b in branches], reverse=True),
         "relations": {"monomial": len(gd.mono_tips), "nonmonomial": len(gd.nonmono_rows)},
         "dimension": gd.dim,
     }

@@ -11,15 +11,17 @@ checks and the branch classes live with the reduced relations in `rewriting`.
 
 Paths are interned: equal paths are one object, so the dicts and sets keyed
 by paths (and by tuples of paths, such as bar cells) hash and compare them by
-identity.  Formal sums store exact rationals (`int` when integral, else
-`Fraction`), never float: every coefficient enters through one normaliser,
-and every quotient of coefficients is taken by `qdiv`.
+identity; the intern table holds each path by a weak reference, so a path no
+longer used is freed (see `Path`).  Formal sums store exact rationals (`int`
+when integral, else `Fraction`), never float: every coefficient enters
+through one normaliser, and every quotient of coefficients is taken by `qdiv`.
 """
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 from typing import NamedTuple
 
 __all__ = [
@@ -44,6 +46,29 @@ class Arrow(NamedTuple):
     dst: str
 
 
+class _Ref(weakref.ref):
+    # a weak reference to an interned path that carries the path's table key;
+    # it defines no `__new__` or `__init__`, so C code alone builds it
+    __slots__ = ("key",)
+
+
+_interned: "dict[tuple, _Ref]" = {}
+_GONE = weakref.ref(set())  # a dead reference: calling it gives None
+
+
+def _forget(ref: _Ref, table=_interned) -> None:
+    # called when ref's path is freed; the entry goes only while it is still
+    # this dead ref, so a late callback (a cyclic collection clears every
+    # reference before it runs their callbacks) never drops a newer live path.
+    # The table is a default argument, so no module global is read when a
+    # path is freed late in interpreter shutdown.
+    if table.get(ref.key) is ref:
+        del table[ref.key]
+
+
+_name_of = attrgetter("name")
+
+
 class Path:
     """A path: a source vertex plus a (possibly empty) run of composable arrows.
 
@@ -51,12 +76,18 @@ class Path:
     that source and those arrows (compared by `Arrow` equality), so equal
     paths are the same object and hashing and `==` are identity.  The
     composability check runs only when a new path is created.  Paths are
-    immutable; the table holds them weakly, so unused paths are freed.  The
-    sort key, which holds the arrow names, is kept on the path when first read.
+    immutable.  The sort key, which holds the arrow names, is kept on the path
+    when first read.
+
+    The intern table `Path._table` is a plain dict from (source, arrows) to a
+    weak reference to the path, so unused paths are freed: a lookup is one
+    `dict.get` and one call of the reference, and the reference's callback
+    removes the entry when its path is freed, by reference count or by the
+    cyclic collector alike.
     """
 
     __slots__ = ("source", "arrows", "_key", "__weakref__")
-    _table: "weakref.WeakValueDictionary[tuple, Path]" = weakref.WeakValueDictionary()
+    _table = _interned
 
     source: str
     arrows: tuple[Arrow, ...]
@@ -64,7 +95,7 @@ class Path:
     def __new__(cls, source: str, arrows) -> "Path":
         arrows = tuple(arrows)
         key = (source, arrows)
-        self = cls._table.get(key)
+        self = cls._table.get(key, _GONE)()
         if self is None:
             at = source
             for a in arrows:
@@ -74,7 +105,10 @@ class Path:
             self = object.__new__(cls)
             object.__setattr__(self, "source", source)
             object.__setattr__(self, "arrows", arrows)
-            cls._table[key] = self
+            object.__setattr__(self, "_key", None)  # filled on first read
+            ref = _Ref(self, _forget)
+            ref.key = key
+            cls._table[key] = ref
         return self
 
     def __setattr__(self, name, value):
@@ -99,12 +133,11 @@ class Path:
         return self.sort_key()[2]
 
     def sort_key(self):
-        try:
-            return self._key
-        except AttributeError:
-            names = tuple(a.name for a in self.arrows)
-            object.__setattr__(self, "_key", (len(self.arrows), self.source, names))
-            return self._key
+        key = self._key
+        if key is None:
+            key = (len(self.arrows), self.source, tuple(map(_name_of, self.arrows)))
+            object.__setattr__(self, "_key", key)
+        return key
 
     def __repr__(self) -> str:
         if not self.arrows:
@@ -277,15 +310,14 @@ class Quiver:
     def __init__(self, vertices, arrows):
         self.vertices: tuple[str, ...] = tuple(vertices)
         self.arrows: tuple[Arrow, ...] = tuple(
-            a if isinstance(a, Arrow) else Arrow(*a) for a in arrows
+            [a if isinstance(a, Arrow) else Arrow(*a) for a in arrows]
         )
-        if len(set(self.vertices)) != len(self.vertices):
-            raise ValueError("duplicate vertex names")
-        names = [a.name for a in self.arrows]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate arrow names")
-        self.arrow_by_name = {a.name: a for a in self.arrows}
         out: dict[str, list[Arrow]] = {v: [] for v in self.vertices}
+        if len(out) != len(self.vertices):
+            raise ValueError("duplicate vertex names")
+        self.arrow_by_name = {a.name: a for a in self.arrows}
+        if len(self.arrow_by_name) != len(self.arrows):
+            raise ValueError("duplicate arrow names")
         inn: dict[str, list[Arrow]] = {v: [] for v in self.vertices}
         for a in self.arrows:
             if a.src not in out or a.dst not in out:
@@ -315,8 +347,9 @@ def validate_toupie(q: Quiver):
     """
     if not q.arrows:
         raise ValueError("toupie quiver needs at least one arrow")
-    sources = [v for v in q.vertices if not q.inn[v]]
-    sinks = [v for v in q.vertices if not q.out[v]]
+    inn, out = q.inn, q.out
+    sources = [v for v in q.vertices if not inn[v]]
+    sinks = [v for v in q.vertices if not out[v]]
     if len(sources) != 1:
         raise ValueError(f"expected a unique source vertex, found {sources}")
     if len(sinks) != 1:
@@ -325,19 +358,18 @@ def validate_toupie(q: Quiver):
     if src == snk:
         raise ValueError("source and sink coincide")
     for v in q.vertices:
-        if v in (src, snk):
-            continue
-        if len(q.inn[v]) != 1 or len(q.out[v]) != 1:
+        if (len(inn[v]) != 1 or len(out[v]) != 1) and v != src and v != snk:
             raise ValueError(
-                f"inner vertex {v!r} has degree ({len(q.inn[v])}, {len(q.out[v])}), expected (1, 1)"
+                f"inner vertex {v!r} has degree ({len(inn[v])}, {len(out[v])}), expected (1, 1)"
             )
-    branches = []
-    for first in q.out[src]:
+    branches, walked = [], 0
+    for first in out[src]:
         arrows = [first]
         while arrows[-1].dst != snk:
-            arrows.append(q.out[arrows[-1].dst][0])
+            arrows.append(out[arrows[-1].dst][0])
+        walked += len(arrows)
         branches.append(Path(src, tuple(arrows)))
-    if sum(map(len, branches)) != len(q.arrows):
+    if walked != len(q.arrows):
         raise ValueError("quiver has a directed cycle")
     q._branches = tuple(branches)
     return src, snk
@@ -389,4 +421,4 @@ class Presentation:
         branches = branches_of(self.quiver)
         listed = {n: i for i, n in enumerate(self.order)}
         pos = {b: i for i, b in enumerate(branches)}
-        return lambda b: (-len(b), listed.get(b.arrows[0].name, len(listed) + pos[b]))
+        return lambda b: (-len(b.arrows), listed.get(b.arrows[0].name, len(listed) + pos[b]))

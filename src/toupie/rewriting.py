@@ -148,12 +148,12 @@ def _split_relations(pres: Presentation):
     branch_set = set(presentation.branches_of(pres.quiver))
     mono, nonmono = [], []
     for rel in pres.relations:
-        if rel.is_zero:
+        if not rel.terms:
             raise ValueError("zero relation")
         terms = list(rel.terms)
         if len(terms) == 1:
             p = terms[0]
-            if len(p) < 2:
+            if len(p.arrows) < 2:
                 raise ValueError(f"monomial relation {p!r} shorter than 2")
             # composable arrows of a toupie quiver run along one branch
             if not arrows.issuperset(p.arrows):
@@ -161,7 +161,7 @@ def _split_relations(pres: Presentation):
             mono.append(p)
         else:
             for p in terms:
-                if p not in branch_set or len(p) < 2:
+                if p not in branch_set or len(p.arrows) < 2:
                     raise ValueError(
                         f"relation not of branch form: {p!r} must be a whole branch of length >= 2"
                     )
@@ -175,7 +175,7 @@ class TipIdeal:
     def __init__(self, quiver):
         self.branches = presentation.branches_of(quiver)
         self.at = {a: (b, i) for b, br in enumerate(self.branches) for i, a in enumerate(br.arrows)}
-        self.ends = [[len(br) + 1] * (len(br) + 1) for br in self.branches]
+        self.ends = [[n] * n for n in [len(br.arrows) + 1 for br in self.branches]]
 
     def add(self, tip: Path) -> None:
         b, i = self.at[tip.arrows[0]]
@@ -276,11 +276,14 @@ class GroebnerData:
     @property
     def dim(self) -> int:
         """The number of nontips in `nontips_by_degree`, counted off the tip ideal:
-        the vertices, plus per branch position i the intervals [i, j) with
-        i < j < ends[b][i]."""
+        the vertices, plus per branch position i the e - i - 1 intervals [i, j)
+        with i < j < e = ends[b][i].  Every tip has an arrow, so e > i, and the
+        sum over a row of m entries is its total less 1 + 2 + ... + m."""
         ends = self.tip_ideal.ends
-        return len(self.quiver.vertices) + sum(
-            max(0, e - i - 1) for row in ends for i, e in enumerate(row)
+        return (
+            len(self.quiver.vertices)
+            + sum(map(sum, ends))
+            - sum([m * (m + 1) // 2 for m in map(len, ends)])
         )
 
 

@@ -10,9 +10,16 @@ on the critical complex.
 """
 from __future__ import annotations
 
+from types import MappingProxyType
+
 from .presentation import FormalSum, qdiv
 
 __all__ = ["BasedComplex", "verify_sdr"]
+
+# the one zero value that `p` keeps and `h` hands out; its terms are a
+# read-only view, so an edit in place raises instead of changing every zero
+_ZERO = FormalSum()
+_ZERO.terms = MappingProxyType({})
 
 
 class BasedComplex:
@@ -26,7 +33,8 @@ class BasedComplex:
 
     Differentials, statuses, dotted weights, the values of `p` and `i` and the
     nonzero values of `h` are computed on first use and kept, so read them
-    without editing.  A matched pair is checked the first time either cell is
+    without editing.  Every zero value of `p` and `h` is one shared read-only
+    empty sum.  A matched pair is checked the first time either cell is
     read; `match(cell)` hands out the checked (status, partner).
     """
 
@@ -95,13 +103,13 @@ class BasedComplex:
         if st == "critical":
             got = FormalSum.lift(cell)
         elif st == "upper":
-            got = FormalSum()
+            got = _ZERO
         else:
             key = ("p", cell)
             if key in self._busy:
                 raise ValueError("zigzag cycle detected")
             self._busy.add(key)
-            got = self.thick(hi).map_terms(self.p).scale(self._weight[cell])
+            got = self.thick(hi).map_terms(self.p).scale(self._weight[cell]) or _ZERO
             self._busy.discard(key)
         self._p_cache[cell] = got
         return got
@@ -137,7 +145,7 @@ class BasedComplex:
         if got is None:
             st, hi = self.match(cell)
             if st != "lower":
-                return FormalSum()
+                return _ZERO
             walk, c = self._walk_up(hi), -self._weight[cell]
             # a unit weight hands out the kept walk itself, not a copy
             got = self._h_cache[cell] = walk if c == 1 else walk.scale(c)

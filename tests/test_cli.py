@@ -4,7 +4,6 @@ import json
 import random
 import subprocess
 import sys
-import weakref
 from fractions import Fraction
 
 import pytest
@@ -401,6 +400,79 @@ def test_schema_error_messages(capsys, tmp_path, data, message):
     assert err == f"toupie: error: {path}{message}\n"
 
 
+class _Str(str):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+def _subclassed(value):
+    """`value` with every str, dict and list replaced by an instance of a subclass."""
+    if isinstance(value, dict):
+        return _Dict({_subclassed(k): _subclassed(v) for k, v in value.items()})
+    if isinstance(value, list):
+        return _List(_subclassed(x) for x in value)
+    return _Str(value) if isinstance(value, str) else value
+
+
+def test_parse_accepts_subclasses_of_the_json_types():
+    # the parser's exact-type fast checks fall back to isinstance
+    plain = presentation_payload(three_branch_presentation())
+    plain["relations"].append([{"coeff": "-3/6", "path": ["a2", "a3"]}])
+    want = parse_presentation(plain)
+    got = parse_presentation(_subclassed(plain))
+    assert got.quiver.vertices == want.quiver.vertices
+    assert got.quiver.arrows == want.quiver.arrows and got.order == want.order
+    assert [r.terms for r in got.relations] == [r.terms for r in want.relations]
+    assert [p for r in got.relations for p in r.terms] == [p for r in want.relations for p in r.terms]
+    assert json.dumps(presentation_payload(got)) == json.dumps(presentation_payload(want))
+
+
+_RELATION_A = [{"coeff": "1", "path": ["a", "b"]}]
+
+# values that no JSON document decodes to, with the parser's exact message
+_NON_JSON_ERRORS = [
+    ([("vertices", ["0"])], "in: expected a JSON object"),
+    ({**_doc(), 1: 2}, "in: unknown keys [1]"),
+    (_doc(vertices=("0", "m", "w")), "in.vertices: expected a nonempty list"),
+    (_doc(vertices=["0", True, "w"]), "in.vertices[1]: expected a string"),
+    (_doc(arrows=tuple(_TWO_ARROWS)), "in.arrows: expected a list"),
+    (_second_arrow(("b", "m", "w")), "in.arrows[1]: expected an object"),
+    (_second_arrow({**_B, "name": b"b"}), "in.arrows[1].name: expected a string"),
+    (_doc(relations=(_RELATION_A,)), "in.relations: expected a list"),
+    (_doc(relations=[tuple(_RELATION_A)]), "in.relations[0]: expected a nonempty list of terms"),
+    (_doc(relations=[[("1", ["a", "b"])]]), "in.relations[0][0]: expected an object"),
+    (
+        _doc(relations=[[{"coeff": True, "path": ["a", "b"]}]]),
+        'in.relations[0][0].coeff: expected an exact rational written "n" or "n/d"',
+    ),
+    (
+        _doc(relations=[[{"coeff": Fraction(1, 2), "path": ["a", "b"]}]]),
+        'in.relations[0][0].coeff: expected an exact rational written "n" or "n/d"',
+    ),
+    (
+        _doc(relations=[[{"coeff": "1", "path": ("a", "b")}]]),
+        "in.relations[0][0].path: expected a nonempty list of arrow names",
+    ),
+    (_doc(relations=[[{"coeff": "1", "path": ["a", True]}]]), "in.relations[0][0].path[1]: expected a string"),
+    (_doc(order=("a",)), "in.order: expected a list"),
+    (_doc(order=[True]), "in.order[0]: unknown arrow True"),
+]
+
+
+@pytest.mark.parametrize("data, message", _NON_JSON_ERRORS)
+def test_parse_rejects_non_json_values_with_located_messages(data, message):
+    with pytest.raises(toupie.cli.InputError) as err:
+        parse_presentation(data, "in")
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize(
     "coeff, reported",
     [("4/2", "2"), ("-3/6", "-1/2"), ("007", "7"), ("-0", None)],
@@ -660,7 +732,7 @@ def test_reports_do_not_depend_on_the_intern_table(capsys, monkeypatch, tmp_path
             for command in _COMMAND_NAMES
         ]
 
-    monkeypatch.setattr(Path, "_table", weakref.WeakValueDictionary())
+    monkeypatch.setattr(Path, "_table", {})  # a fresh intern table: every path built anew
     fresh = reports()
     monkeypatch.undo()
     other = write_input(tmp_path, overlap_monomial_presentation(), "other.json")

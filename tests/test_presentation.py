@@ -76,6 +76,34 @@ def test_bad_path_rejected():
     assert ("u", (a, b)) not in Path._table
 
 
+def test_a_path_freed_by_the_cyclic_collector_leaves_the_table():
+    key = ("u", (Arrow("cyclic", "u", "v"),))
+    gc.disable()
+    try:
+        box = [Path(*key)]
+        box.append(box)  # a cycle: only the collector frees the list and its path
+        del box
+        assert Path._table[key]() is not None
+    finally:
+        gc.enable()
+    gc.collect()
+    assert key not in Path._table
+
+
+def test_a_stale_callback_keeps_a_newer_live_entry():
+    # a cyclic collection clears every weak reference before it runs their
+    # callbacks, so a callback can run after a new path has taken its key
+    key = ("u", (Arrow("stale", "u", "v"),))
+    p = Path(*key)
+    old = Path._table[key]
+    forget = old.__callback__
+    del p
+    assert key not in Path._table
+    q = Path(*key)
+    forget(old)
+    assert Path._table[key]() is q and Path(*key) is q
+
+
 def test_equal_paths_are_one_object(three_branch):
     q = three_branch.quiver
     p = q.path("a1", "a2", "a3")
@@ -145,8 +173,8 @@ def test_kept_names_and_sort_keys_equal_recomputation():
     subjects = [three_branch_presentation(), overlap_monomial_presentation()]
     subjects += [random_presentation(seed) for seed in range(25)]
     alive = [_run_acceptance_jobs(pres) for pres in subjects]
-    paths = list(Path._table.values())
-    assert alive and len(paths) > 100
+    paths = [ref() for ref in list(Path._table.values())]  # the table holds weak references
+    assert alive and len(paths) > 100 and None not in paths
     for p in paths:
         names = p.names
         assert names == tuple(a.name for a in p.arrows), p

@@ -34,3 +34,10 @@ def test_check_report_writer_runs_clean(capsys, monkeypatch):
     assert capsys.readouterr().out.splitlines()[-1].startswith(
         "28 reports, 0 differ from json.dumps"
     )
+
+
+def test_check_intern_runs_clean(capsys, monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    check = load_script("check_intern")
+    assert check.main() == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("5 intern checks, 0 failed")

@@ -62,6 +62,28 @@ def test_two_step_complex_identities():
     assert verify_sdr(cx, cells[::-1]) == []
 
 
+def test_zero_projections_and_homotopies_are_one_read_only_sum():
+    # y1 projects to zero through its matched x1 (d(y1) has no critical
+    # term), y2 and z are upper cells, x2 is not lower: all their zero
+    # values are one object, and editing it raises
+    diffs = {"y1": span(x1=1), "y2": span(x2=1), "z": span(y1=1, y2=1)}
+    cx, _ = listed(
+        {0: ["x1", "x2"], 1: ["y1", "y2"], 2: ["z"]},
+        lambda c: diffs.get(c, FormalSum()),
+        {"x1": "y1", "x2": "y2"},
+    )
+    zeros = [cx.p("x1"), cx.p("y1"), cx.p("y2"), cx.h("y1"), cx.h("z"), cx.h("x1").map_terms(cx.h)]
+    assert all(z.is_zero for z in zeros)
+    shared = zeros[0]
+    assert all(z is shared for z in zeros[:5])
+    assert cx.p("z") == span(z=1)
+    with pytest.raises(TypeError):
+        shared.add_term("x1", 1)
+    with pytest.raises(TypeError):
+        shared.add_scaled(span(x1=1))
+    assert shared.is_zero and shared == FormalSum()
+
+
 def test_degree_bound_reads_no_cell_past_the_next_degree():
     # checking cells of degree <= 2 reads differentials up to degree 3 only
     # through h, and h vanishes on the critical z: w's differential is never
