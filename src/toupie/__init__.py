@@ -26,9 +26,8 @@ _EXPORTS = {
         "stasheff_algebra_defects", "stasheff_coalgebra_defects",
     ),
     "duality": (
-        "GammaGraph", "HypothesesError", "HypothesesReport", "double_dual", "gamma_graph",
-        "gr_algebra", "hypotheses_check", "ideal_equal", "opposite_quiver", "quadratic_blocks",
-        "yoneda_presentation",
+        "HypothesesError", "HypothesesReport", "double_dual", "gr_algebra", "hypotheses_check",
+        "ideal_equal", "opposite_quiver", "quadratic_blocks", "yoneda_presentation",
     ),
     "random_presentations": ("GeneratorConfig", "random_presentation"),
 }

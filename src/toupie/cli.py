@@ -37,7 +37,7 @@ from . import __version__
 # every job parses with this module; `_run` and each command import what they run
 from .presentation import Arrow, FormalSum, Path, Presentation, Quiver
 
-_RATIONAL = re.compile(r"^-?\d+(?:/[1-9]\d*)?$")
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[1-9][0-9]*)?")
 _TOP_KEYS = {"vertices", "arrows", "relations", "order"}
 _ARROW_KEYS = {"name", "src", "dst"}
 _TERM_KEYS = {"coeff", "path"}
@@ -147,7 +147,7 @@ def parse_presentation(data, where: str = "input") -> Presentation:
                     if key not in term:
                         raise _error("{}.relations[{}][{}]: missing key {!r}", where, i, j, key)
             coeff = term["coeff"]
-            if not ((type(coeff) is str or isinstance(coeff, str)) and _RATIONAL.match(coeff)):
+            if not ((type(coeff) is str or isinstance(coeff, str)) and _RATIONAL.fullmatch(coeff)):
                 raise _error(
                     '{}.relations[{}][{}].coeff: expected an exact rational written "n" or "n/d"',
                     where, i, j,

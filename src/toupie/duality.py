@@ -1,4 +1,4 @@
-"""Dual presentations: the link graph, gr via the special basis, double duals.
+"""Dual presentations: the hypotheses, gr via the special basis, double duals.
 
 Branches occurring in non-monomial relations are *linked* when they share a
 relation.  When every monomial relation is quadratic and each linked component
@@ -29,10 +29,8 @@ from .presentation import (
 from .rewriting import GroebnerData
 
 __all__ = [
-    "GammaGraph",
     "HypothesesError",
     "HypothesesReport",
-    "gamma_graph",
     "hypotheses_check",
     "gr_algebra",
     "opposite_quiver",
@@ -42,54 +40,13 @@ __all__ = [
     "ideal_equal",
 ]
 
-@dataclass(frozen=True)
-class GammaGraph:
-    """Non-oriented graph on the branches involved in non-monomial relations."""
-
-    vertices: tuple[Path, ...]
-    edges: tuple[tuple[Path, Path], ...]
-    components: tuple[tuple[Path, ...], ...]
-
-
-def gamma_graph(g: GroebnerData) -> GammaGraph:
-    """Link two branches whenever some non-monomial relation involves both."""
-    rels = [rel for _, rel in g.nonmono_rows]
-    pos = {b: i for i, b in enumerate(g.branch_order)}
-    vertices = [b for b in g.branch_order if any(b in rel.terms for rel in rels)]
-    edge_set = set()
-    for rel in rels:
-        supp = sorted(rel.terms, key=pos.get)
-        edge_set.update((u, v) for i, u in enumerate(supp) for v in supp[i + 1 :])
-    edges = tuple(sorted(edge_set, key=lambda e: (pos[e[0]], pos[e[1]])))
-    adj: dict[Path, set[Path]] = {v: set() for v in vertices}
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    seen: set[Path] = set()
-    comps = []
-    for v in vertices:
-        if v in seen:
-            continue
-        comp, stack = [], [v]
-        seen.add(v)
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for x in adj[u]:
-                if x not in seen:
-                    seen.add(x)
-                    stack.append(x)
-        comps.append(tuple(sorted(comp, key=pos.get)))
-    return GammaGraph(tuple(vertices), edges, tuple(comps))
-
 
 @dataclass(frozen=True)
 class HypothesesReport:
-    ok: bool
     reasons: tuple[str, ...]
 
     def __bool__(self) -> bool:
-        return self.ok
+        return not self.reasons
 
 
 class HypothesesError(ValueError):
@@ -112,18 +69,22 @@ def hypotheses_check(g: GroebnerData) -> HypothesesReport:
     for t in g.mono_tips:
         if len(t) != 2:
             reasons.append(f"monomial relation {t!r} has length {len(t)}, not 2")
-    graph = gamma_graph(g)
-    comp_of = {b: comp for comp in graph.components for b in comp}
-    offenders: dict[tuple, list[Path]] = {}
+    # comp[b]: the branches linked to b, one shared set per component
+    comp: dict[Path, set[Path]] = {}
+    for _, rel in g.nonmono_rows:
+        linked = set(rel.terms).union(*(comp[b] for b in rel.terms if b in comp))
+        for b in linked:
+            comp[b] = linked
+    offenders: dict[int, list[Path]] = {}
     for tip, _ in g.nonmono_rows:
         if len(tip) > 2:
-            offenders.setdefault(comp_of[tip], []).append(tip)
-    for comp, tips in offenders.items():
+            offenders.setdefault(id(comp[tip]), []).append(tip)
+    for tips in offenders.values():
         if len(tips) > 1:
             reasons.append(
                 "linked component {%s} has %d non-quadratic tips: %s"
                 % (
-                    ", ".join(repr(b) for b in comp),
+                    ", ".join(repr(b) for b in g.branch_order if b in comp[tips[0]]),
                     len(tips),
                     ", ".join(repr(t) for t in tips),
                 )
@@ -135,7 +96,7 @@ def hypotheses_check(g: GroebnerData) -> HypothesesReport:
                 f"relation with tip {supp[0][0]!r} has no quadratic block: "
                 f"its graded replacement is homogeneous of length {min_len}"
             )
-    return HypothesesReport(not reasons, tuple(reasons))
+    return HypothesesReport(tuple(reasons))
 
 
 def gr_algebra(pres: Presentation) -> Presentation:
@@ -236,7 +197,11 @@ def yoneda_presentation(pres: Presentation) -> Presentation:
 
 
 def double_dual(pres: Presentation) -> Presentation:
-    """Dual of the dual, renamed back onto the original quiver (a** -> a)."""
+    """Dual of the dual, renamed back onto the original quiver (a** -> a).
+
+    The second `yoneda_presentation` checks the hypotheses on the dual
+    presentation, and always passes: every dual relation is quadratic.
+    """
     twice = yoneda_presentation(yoneda_presentation(pres))
     q = pres.quiver
     rels = tuple(

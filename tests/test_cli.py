@@ -347,6 +347,15 @@ _SCHEMA_ERRORS = {
     "coeff-not-string": (_second_relation({"coeff": 1, "path": ["a"]}), _NOT_RATIONAL),
     "coeff-decimal": (_second_relation({"coeff": "0.5", "path": ["a"]}), _NOT_RATIONAL),
     "coeff-zero-denominator": (_second_relation({"coeff": "1/0", "path": ["a"]}), _NOT_RATIONAL),
+    # `int` and `Fraction` would take these, so the pattern must refuse them
+    "coeff-trailing-newline": (_second_relation({"coeff": "1\n", "path": ["a"]}), _NOT_RATIONAL),
+    "coeff-negative-trailing-newline": (
+        _second_relation({"coeff": "-1\n", "path": ["a"]}), _NOT_RATIONAL
+    ),
+    "coeff-fraction-trailing-newline": (
+        _second_relation({"coeff": "1/2\n", "path": ["a"]}), _NOT_RATIONAL
+    ),
+    "coeff-non-ascii-digit": (_second_relation({"coeff": "\u0661", "path": ["a"]}), _NOT_RATIONAL),
     "path-empty": (
         _second_relation({"coeff": "1", "path": []}),
         ".relations[1][0].path: expected a nonempty list of arrow names",

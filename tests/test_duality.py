@@ -17,8 +17,8 @@ from tests.conftest import (
 from toupie.ainf import ExtAlgebra, TorCoalgebra
 from toupie.duality import (
     HypothesesError,
+    HypothesesReport,
     double_dual,
-    gamma_graph,
     gr_algebra,
     hypotheses_check,
     ideal_equal,
@@ -26,48 +26,43 @@ from toupie.duality import (
     yoneda_presentation,
 )
 from toupie.presentation import FormalSum, Presentation, Quiver, branches_of
-from toupie.random_presentations import random_presentation
+from toupie.random_presentations import GeneratorConfig, random_presentation
 from toupie.rewriting import build_groebner
+
+
+def linked_presentation(lengths: dict, relations: list, order=None) -> Presentation:
+    """Parallel branches 0 ==> w, branch n with arrows n1 .. nk for k = lengths[n],
+    and whole-branch relations {branch name: coefficient}; `order` lists branch
+    names, greatest first (default: the order of `lengths`)."""
+    vertices, arrows = ["0", "w"], []
+    for n, k in lengths.items():
+        inner = [f"{n}{j}v" for j in range(1, k)]
+        vertices += inner
+        stops = ["0", *inner, "w"]
+        arrows += [(f"{n}{j + 1}", stops[j], stops[j + 1]) for j in range(k)]
+    q = Quiver(vertices, arrows)
+    branch = {n: q.path(*(f"{n}{j}" for j in range(1, k + 1))) for n, k in lengths.items()}
+    rels = tuple(FormalSum({branch[n]: c for n, c in rel.items()}) for rel in relations)
+    return Presentation(q, rels, order=tuple(f"{n}1" for n in (order or lengths)))
 
 
 def two_pair_presentation():
     """Four parallel length-2 branches, linked in two disjoint pairs."""
-    names = "abcd"
-    vertices = ["0", "w"] + [f"{n}v" for n in names]
-    arrows = []
-    for n in names:
-        arrows += [(f"{n}1", "0", f"{n}v"), (f"{n}2", f"{n}v", "w")]
-    q = Quiver(vertices, arrows)
-    pair = lambda x, y: FormalSum(
-        {q.path(f"{x}1", f"{x}2"): Fraction(1), q.path(f"{y}1", f"{y}2"): Fraction(-1)}
+    return linked_presentation(dict.fromkeys("abcd", 2), [{"a": 1, "b": -1}, {"c": 1, "d": -1}])
+
+
+def transitive_presentation():
+    """a, b of length 3 and c, d of length 2 with a - c and b - c + d: one
+    linked component through c, holding the two cubic tips a and b."""
+    return linked_presentation(
+        {"a": 3, "b": 3, "c": 2, "d": 2}, [{"a": 1, "c": -1}, {"b": 1, "c": -1, "d": 1}]
     )
-    return Presentation(q, (pair("a", "b"), pair("c", "d")), order=("a1", "b1", "c1", "d1"))
 
 
-# -- link graph ---------------------------------------------------------------
-
-
-def test_gamma_graph_three_branch(three_branch):
-    g = gamma_graph(build_groebner(three_branch))
-    first = [v.arrows[0].name for v in g.vertices]
-    assert first == ["a1", "b1", "c1"]
-    assert len(g.components) == 1
-    assert len(g.components[0]) == 3
-    assert {(u.arrows[0].name, v.arrows[0].name) for u, v in g.edges} == {
-        ("a1", "c1"),
-        ("b1", "c1"),
-    }
-
-
-def test_gamma_graph_two_components():
-    g = gamma_graph(build_groebner(two_pair_presentation()))
-    assert len(g.vertices) == 4
-    assert [len(c) for c in g.components] == [2, 2]
-
-
-def test_gamma_graph_empty_without_nonmonomial(overlap_monomial):
-    g = gamma_graph(build_groebner(overlap_monomial))
-    assert g.vertices == () and g.edges == () and g.components == ()
+TRANSITIVE_REASON = (
+    "linked component {a1*a2*a3, b1*b2*b3, c1*c2, d1*d2} has 2 non-quadratic tips: "
+    "a1*a2*a3, b1*b2*b3"
+)
 
 
 # -- hypotheses ---------------------------------------------------------------
@@ -92,6 +87,62 @@ def test_violators_are_refused_with_reasons():
     assert "non-quadratic tips" in reasons[1][0]
     assert "length 4" in reasons[2][0]
     assert "no quadratic block" in reasons[3][0]
+
+
+def test_one_non_quadratic_tip_per_component_is_no_linked_reason():
+    # a - b and c - d: two components, each with one cubic tip
+    pres = linked_presentation(
+        {"a": 3, "b": 2, "c": 3, "d": 2}, [{"a": 1, "b": -1}, {"c": 1, "d": -1}]
+    )
+    g = build_groebner(pres)
+    assert [len(t) for t, _ in g.nonmono_rows] == [3, 3]
+    report = hypotheses_check(g)
+    assert report and report.reasons == ()
+
+
+def test_linked_reason_names_a_transitive_component_in_branch_order():
+    # a and b share no relation; they are linked through c
+    assert hypotheses_check(build_groebner(transitive_presentation())).reasons == (
+        TRANSITIVE_REASON,
+    )
+
+
+def test_linked_reasons_follow_the_reduced_rows():
+    # two copies of the transitive shape; the order puts the e..h copy first
+    pres = linked_presentation(
+        {"a": 3, "b": 3, "c": 2, "d": 2, "e": 3, "f": 3, "g": 2, "h": 2},
+        [
+            {"a": 1, "c": -1},
+            {"b": 1, "c": -1, "d": 1},
+            {"e": 1, "g": -1},
+            {"f": 1, "g": -1, "h": 1},
+        ],
+        order="efabghcd",
+    )
+    g = build_groebner(pres)
+    tips = [repr(t) for t, _ in g.nonmono_rows]
+    assert tips == ["e1*e2*e3", "f1*f2*f3", "a1*a2*a3", "b1*b2*b3"]
+    assert hypotheses_check(g).reasons == (
+        "linked component {e1*e2*e3, f1*f2*f3, g1*g2, h1*h2} has 2 non-quadratic tips: "
+        "e1*e2*e3, f1*f2*f3",
+        TRANSITIVE_REASON,
+    )
+
+
+def test_linked_reason_alone_refuses_a_working_construction(monkeypatch):
+    # the refusal is conservative: on these inputs the linked-component reason
+    # is the only one, and the forced double dual still equals gr; the second
+    # case is draw 197 of the random-mix benchmark pool (its generator config)
+    pool_197 = random_presentation(
+        197, GeneratorConfig(max_branches=6, max_branch_length=4, max_nonmono=4)
+    )
+    cases = [transitive_presentation(), pool_197]
+    reasons = [hypotheses_check(build_groebner(p)).reasons for p in cases]
+    assert reasons[0] == (TRANSITIVE_REASON,)
+    assert len(reasons[1]) == 1 and reasons[1][0].startswith("linked component {")
+    monkeypatch.setattr(toupie.duality, "hypotheses_check", lambda g: HypothesesReport(()))
+    for pres in cases:
+        assert ideal_equal(double_dual(pres), gr_algebra(pres))
 
 
 def test_passers_need_quadratic_graded_replacement():

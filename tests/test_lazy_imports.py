@@ -103,7 +103,7 @@ print(json.dumps([wrong, subs, unbound, undir, hasattr(toupie, "no_such_name"), 
 """.replace("SUBS", repr(SUBMODULES))
     wrong, subs, unbound, undir, unknown, count = run_fresh(code)
     assert (wrong, subs, unbound, undir, unknown) == ([], [], [], [], False)
-    assert count == 44
+    assert count == 42
 
 
 def test_exports_list_every_module_all():

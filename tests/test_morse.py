@@ -138,6 +138,18 @@ def test_verify_catches_corrupted_closed_p(three_branch):
     assert sdr.verify() == [f"closed p != oracle p at {split!r}"]
 
 
+def test_verify_catches_corrupted_closed_i(three_branch):
+    gd = build_groebner(three_branch)
+    sdr = BarSDR(gd)
+    q = gd.quiver
+    chain = (q.path("a1"), q.path("a2", "a3"))
+    # over the long relation a1a2a3 - c1c2 the inclusion carries a second term
+    assert sdr.sdr_i(chain) == lift(chain) - lift((q.path("c1"), q.path("c2")))
+    closed = sdr.sdr_i
+    sdr.sdr_i = lambda w: lift(w) if w == chain else closed(w)
+    assert sdr.verify() == [f"closed i != oracle i at {chain!r}"]
+
+
 def test_formal_words_with_tip_letters():
     pres = single_chain_presentation([["d1", "d2"], ["d2", "d3"]])
     gd = build_groebner(pres)

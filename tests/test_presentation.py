@@ -285,6 +285,18 @@ def test_coefficients_are_int_when_integral():
     assert s.coeff("z") == 0
 
 
+def test_formal_sum_repr(three_branch):
+    # terms in `_term_key` order: paths by their sort key, then other keys;
+    # a unit magnitude is written without its coefficient
+    q = three_branch.quiver
+    s = FormalSum(
+        {"x": Fraction(1, 2), q.path("c1"): Fraction(-3, 2), q.path("b1", "b2"): -1,
+         q.path("a1", "a2", "a3"): 1}
+    )
+    assert repr(s) == "-3/2*c1 -b1*b2 +a1*a2*a3 +1/2*'x'"
+    assert repr(FormalSum()) == "0"
+
+
 @given(
     st.one_of(st.integers(-50, 50), coeffs),
     st.one_of(st.integers(-50, 50), coeffs).filter(bool),
