@@ -173,8 +173,16 @@ def parse_presentation(data, where: str = "input") -> Presentation:
                 raise  # not reached: a failed lookup fails one of the checks
             except ValueError as err:
                 raise InputError(f"{where}.relations[{i}][{j}].path: {err}") from err
-            # `_RATIONAL` has checked the string, so both give the same exact rational
-            rel.add_term(path, Fraction(coeff) if "/" in coeff else int(coeff))
+            # `_RATIONAL` has checked the string, so both give the same exact
+            # rational, unless it has more digits than the runtime converts
+            try:
+                c = Fraction(coeff) if "/" in coeff else int(coeff)
+            except ValueError as err:
+                raise _error(
+                    "{}.relations[{}][{}].coeff: more than {} digits",
+                    where, i, j, sys.get_int_max_str_digits(),
+                ) from err
+            rel.add_term(path, c)
         if not rel.terms:
             raise _error("{}.relations[{}]: terms cancel to zero", where, i)
         relations.append(rel)

@@ -20,9 +20,11 @@ __all__ = ["bar_words", "bar_differential", "classify_word", "BarSDR"]
 
 
 def _word_key(word):
-    # the underlying path's sort_key and the letter lengths, without building the path
-    names = sum([p.names for p in word], ())
-    return (len(names), word[0].source, names), tuple(map(len, word))
+    # the underlying path's sort_key and the letter lengths, without building
+    # the path: the letters lie on one branch, so the length, the source and
+    # the first arrow fix the path, and arrow names are unique
+    lens = tuple([len(p.arrows) for p in word])
+    return sum(lens), word[0].source, word[0].arrows[0].name, lens
 
 
 def bar_words(gd: GroebnerData, max_degree: int | None = None) -> dict[int, list]:
@@ -71,12 +73,13 @@ def classify_word(cg: ChainGraph, word):
         # first letter is not an arrow: split off its first arrow
         pr_len = 1
     else:
-        cut = cg.gd.tip_ideal.cut(word[k - 1])
-        if cut is None or len(cut) > len(w):
+        prev, ideal = word[k - 1], cg.gd.tip_ideal
+        b, i = ideal.at[prev.arrows[0]]
+        # the length of prev's cut (`TipIdeal.cut`), past the branch end when it has none
+        pr_len = ideal.ends[b][i] - i - len(prev.arrows)
+        if pr_len > len(w):
             # nothing to split: this word absorbs its successor instead
-            merged = compose(word[k - 1], w)
-            return "upper", word[: k - 1] + (merged,) + word[k + 1 :]
-        pr_len = len(cut)
+            return "upper", word[: k - 1] + (compose(prev, w),) + word[k + 1 :]
         if pr_len == len(w):
             # w is the prefix's cut but no run letter, so a tip: no bar word has one
             raise ValueError(f"letter {w!r} lies in the tip ideal: {word!r}")
@@ -126,7 +129,15 @@ class BarSDR:
         if isinstance(word, Path):
             return False
         ideal = self.gd.tip_ideal
-        return all(compose(a, b) in ideal for a, b in zip(word, word[1:]))
+        at, ends = ideal.at, ideal.ends
+        for a, b in zip(word, word[1:]):
+            if a.arrows[-1].dst != b.source:
+                compose(a, b)  # raises the composability error
+            # `TipIdeal.__contains__` of a * b, which lies on a's branch
+            br, i = at[a.arrows[0]]
+            if ends[br][i] > i + len(a.arrows) + len(b.arrows):
+                return False
+        return True
 
     def _split_merge(self, word):
         """Iterated split-and-merge on an attached non-chain: (homotopy terms, projection)."""

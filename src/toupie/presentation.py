@@ -269,12 +269,33 @@ class FormalSum:
             out.add_scaled(self, c)
         return out
 
+    def add_composite(self, outer: "FormalSum", fn, c=1) -> "FormalSum":
+        """self += c * (the sum of outer[k] * fn(k) over the keys k of outer),
+        in place and in one pass; returns self.  `outer` and the values of
+        `fn` are read, never edited, and may not be self."""
+        if type(c) is not int:
+            c = _exact(c)
+        if not c:
+            return self
+        terms = self.terms
+        for k, a in outer.terms.items():
+            if c != 1:
+                a *= c
+            for key, v in fn(k).terms.items():
+                if a != 1:
+                    v = -v if a == -1 else v * a
+                old = terms.get(key)
+                if old is not None:
+                    v += old
+                    if not v:
+                        del terms[key]
+                        continue
+                terms[key] = v if type(v) is int else _exact(v)
+        return self
+
     def map_terms(self, fn) -> "FormalSum":
         """Linear extension of fn(key) -> FormalSum."""
-        out = FormalSum()
-        for k, c in self.terms.items():
-            out.add_scaled(fn(k), c)
-        return out
+        return FormalSum().add_composite(self, fn)
 
     @property
     def is_zero(self) -> bool:

@@ -89,7 +89,9 @@ class BasedComplex:
         d = self.diff(cell)
         st, lo = self.match(cell)
         if st == "upper":
-            d = d - FormalSum.lift(lo, d.coeff(lo))
+            # a copy without the matched term, whose coefficient `_read` found nonzero
+            d = d.scale(1)
+            del d.terms[lo]
         return d
 
     # -- transfer maps ---------------------------------------------------------
@@ -109,7 +111,7 @@ class BasedComplex:
             if key in self._busy:
                 raise ValueError("zigzag cycle detected")
             self._busy.add(key)
-            got = self.thick(hi).map_terms(self.p).scale(self._weight[cell]) or _ZERO
+            got = FormalSum().add_composite(self.thick(hi), self.p, self._weight[cell]) or _ZERO
             self._busy.discard(key)
         self._p_cache[cell] = got
         return got
@@ -169,13 +171,10 @@ def verify_sdr(cx: BasedComplex, cells) -> list[str]:
         if dc and dc.map_terms(cx.diff):
             bad.append(f"d∘d != 0 at {c!r}")
         hc, pc = cx.h(c), cx.p(c)
-        lhs = FormalSum.lift(c)
-        if pc:
-            lhs.add_scaled(pc.map_terms(cx.i), -1)
-        rhs = hc.map_terms(cx.diff) if hc else FormalSum()
-        if dc:
-            rhs.add_scaled(dc.map_terms(cx.h))
-        if lhs != rhs:
+        # c - i∘p(c) - d∘h(c) - h∘d(c), tested for zero
+        defect = FormalSum.lift(c).add_composite(pc, cx.i, -1)
+        defect.add_composite(hc, cx.diff, -1).add_composite(dc, cx.h, -1)
+        if defect:
             bad.append(f"id - i∘p != d∘h + h∘d at {c!r}")
         if hc and hc.map_terms(cx.h):
             bad.append(f"h∘h != 0 at {c!r}")
@@ -184,7 +183,7 @@ def verify_sdr(cx: BasedComplex, cells) -> list[str]:
     for c in cells:
         if cx.status(c) == "critical":
             ic = cx.i(c)
-            if ic.map_terms(cx.p) != FormalSum.lift(c):
+            if FormalSum.lift(c, -1).add_composite(ic, cx.p):
                 bad.append(f"p∘i != id at {c!r}")
             if ic.map_terms(cx.h):
                 bad.append(f"h∘i != 0 at {c!r}")

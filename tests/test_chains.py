@@ -106,6 +106,9 @@ def test_parse_rejects_non_chain_paths(cg3):
     assert cg3.parse(q.path("a1", "a2")) is None
     assert cg3.parse(q.path("c1", "c2")) is None
     assert cg3.parse(q.path("a1", "a2", "a3")) == (q.path("a1"), q.path("a2", "a3"))
+    # a trivial path is no chain: chains have nontrivial letters
+    for v in q.vertices:
+        assert cg3.parse(Path(v, ())) is None
 
 
 def test_decompositions_none_for_long_tip_chain(cg3):

@@ -298,6 +298,7 @@ def _second_relation(*terms) -> dict:
 
 
 _NOT_RATIONAL = '.relations[1][0].coeff: expected an exact rational written "n" or "n/d"'
+_TOO_LONG = f".relations[1][0].coeff: more than {sys.get_int_max_str_digits()} digits"
 
 # one case per check in `parse_presentation`, with its exact message after the
 # input file name
@@ -356,6 +357,14 @@ _SCHEMA_ERRORS = {
         _second_relation({"coeff": "1/2\n", "path": ["a"]}), _NOT_RATIONAL
     ),
     "coeff-non-ascii-digit": (_second_relation({"coeff": "\u0661", "path": ["a"]}), _NOT_RATIONAL),
+    # past the runtime's int-string digit limit, `int` and `Fraction` raise
+    "coeff-too-many-digits": (_second_relation({"coeff": "1" * 5000, "path": ["a"]}), _TOO_LONG),
+    "coeff-negative-too-many-digits": (
+        _second_relation({"coeff": "-" + "1" * 5000, "path": ["a"]}), _TOO_LONG
+    ),
+    "coeff-denominator-too-many-digits": (
+        _second_relation({"coeff": "1/" + "1" * 5000, "path": ["a"]}), _TOO_LONG
+    ),
     "path-empty": (
         _second_relation({"coeff": "1", "path": []}),
         ".relations[1][0].path: expected a nonempty list of arrow names",

@@ -3,10 +3,16 @@ import weakref
 
 import pytest
 
-from tests.conftest import single_chain_presentation
-from toupie.chains import ChainGraph
+from tests.conftest import (
+    lines_presentation,
+    plain_beside_quadratic_presentation,
+    single_chain_presentation,
+    three_branch_presentation,
+)
+from toupie.chains import ChainGraph, underlying_path
 from toupie.morse import BarSDR, bar_differential, bar_words, classify_word
-from toupie.presentation import FormalSum, Path
+from toupie.presentation import FormalSum, Path, compose
+from toupie.random_presentations import random_presentation
 from toupie.rewriting import build_groebner
 
 
@@ -202,3 +208,50 @@ def test_bar_complex_freed_without_the_cyclic_collector(three_branch):
         assert cx() is None
     finally:
         gc.enable()
+
+
+def _classify_by_paths(cg, word):
+    """Oracle for `classify_word`: the split and merge rule read off the cut
+    as a path (`TipIdeal.cut`) and the merge built by `compose`."""
+    k = cg.prefix_chain_length(word)
+    if k == len(word):
+        return "critical", None
+    w, pr_len = word[k], 1
+    if k:
+        cut = cg.gd.tip_ideal.cut(word[k - 1])
+        if cut is None or len(cut) > len(w):
+            return "upper", word[: k - 1] + (compose(word[k - 1], w),) + word[k + 1 :]
+        pr_len = len(cut)
+    return "lower", word[:k] + (w.slice(0, pr_len), w.slice(pr_len, len(w))) + word[k + 1 :]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        three_branch_presentation,
+        lambda: plain_beside_quadratic_presentation(5),
+        lambda: lines_presentation(2, 5, 2),
+        lambda: lines_presentation(1, 10, 3),
+        *[lambda seed=seed: random_presentation(seed) for seed in range(40)],
+    ],
+    ids=["running-example", "plain-5", "2xline-5-2", "line-10-3", *[f"random-{s}" for s in range(40)]],
+)
+def test_matching_branch_arithmetic_equals_the_path_rules(make):
+    gd = build_groebner(make())
+    sdr = BarSDR(gd)
+    ideal = gd.tip_ideal
+    for d, words in bar_words(gd, 4).items():
+        if not d:
+            continue
+        # a layer in the order of its underlying paths, then of its letter lengths
+        assert words == sorted(words, key=lambda w: (underlying_path(w).sort_key(), tuple(map(len, w))))
+        for w in words:
+            assert classify_word(sdr.cg, w) == _classify_by_paths(sdr.cg, w)
+            assert sdr.is_attached(w) == all(compose(a, b) in ideal for a, b in zip(w, w[1:]))
+
+
+def test_is_attached_refuses_letters_that_do_not_compose(three_branch):
+    sdr = BarSDR(build_groebner(three_branch))
+    q = sdr.gd.quiver
+    with pytest.raises(ValueError, match="paths not composable"):
+        sdr.is_attached((q.path("a1"), q.path("b2")))

@@ -297,6 +297,19 @@ def test_formal_sum_repr(three_branch):
     assert repr(FormalSum()) == "0"
 
 
+def test_term_key_orders_paths_then_tuples_then_strings(three_branch):
+    q = three_branch.quiver
+    a, b = q.path("a1", "a2"), q.path("b1")
+    s = FormalSum({"x": 1, (a, b): 2, a: 3, (b,): 4, b: 5})
+    assert [k for k, _ in s.items()] == [b, a, (b,), (a, b), "x"]
+
+
+def test_add_scaled_of_itself_doubles():
+    x = FormalSum({"x": 1, "y": Fraction(-1, 2)})
+    assert x.add_scaled(x) is x
+    assert x.terms == {"x": 2, "y": -1} and type(x.coeff("y")) is int
+
+
 @given(
     st.one_of(st.integers(-50, 50), coeffs),
     st.one_of(st.integers(-50, 50), coeffs).filter(bool),
@@ -369,6 +382,37 @@ def test_no_true_division_outside_qdiv():
                 ):
                     found.append(f"{src.name}:{line}")
     assert found == []
+
+
+# int and Fraction coefficients that cancel one another often
+unit_coeffs = st.sampled_from([1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2)])
+unit_sums = st.lists(st.tuples(st.integers(0, 4), unit_coeffs), max_size=6)
+
+
+@given(unit_sums, st.lists(unit_sums, min_size=2, max_size=2), unit_sums,
+       st.sampled_from([0, 1, -1, 2, Fraction(1, 3)]))
+def test_add_composite_is_the_naive_term_loop(outer_terms, values, start, c):
+    outer = FormalSum(outer_terms)
+    # fn hands out kept sums, as the zigzag caches do: key 0 maps to the zero
+    # sum, keys 1 and 2 to their own sums, and keys 3 and 4 share key 2's
+    kept = [FormalSum(), FormalSum(values[0]), FormalSum(values[1])]
+    fn = lambda k: kept[min(k, 2)]
+    before = [list(s.terms.items()) for s in (outer, *kept)]
+    got, want = FormalSum(start), FormalSum(start)
+    assert got.add_composite(outer, fn, c) is got
+    for k, a in outer.terms.items():
+        for key, v in fn(k).terms.items():
+            want.add_term(key, Fraction(c) * a * v)
+    # equal terms in equal insertion order, exact and never zero
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert all(type(v) is int or type(v) is Fraction and v.denominator != 1 for v in got.terms.values())
+    assert all(got.terms.values())
+    naive = FormalSum()
+    for k, a in outer.terms.items():
+        for key, v in fn(k).terms.items():
+            naive.add_term(key, a * v)
+    assert list(outer.map_terms(fn).terms.items()) == list(naive.terms.items())
+    assert [list(s.terms.items()) for s in (outer, *kept)] == before
 
 
 @given(
