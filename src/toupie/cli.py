@@ -28,10 +28,7 @@ import hashlib
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path as FilePath
-from typing import Optional
 
 from . import __version__
 # every job parses with this module; `_run` and each command import what they run
@@ -45,27 +42,6 @@ _TERM_KEYS = {"coeff", "path"}
 
 class InputError(Exception):
     """Malformed input file or job description; maps to exit status 2."""
-
-
-@dataclass(frozen=True)
-class JobSpec:
-    """One resolved invocation: what to read, what to run, how to report."""
-
-    input_path: str
-    command: str
-    degree: int
-    arity: int
-    format: str
-    golden: Optional[str]
-    seed: Optional[int]
-
-    def __post_init__(self):
-        if self.command not in _COMMAND_NAMES:
-            raise ValueError(f"unknown command {self.command!r}")
-        if self.degree < 1:
-            raise ValueError("degree bound must be >= 1")
-        if self.arity < 1:
-            raise ValueError("arity bound must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -244,12 +220,12 @@ def _chain_terms(fs: FormalSum, payloads: _ChainPayloads) -> list:
     return [{"coeff": str(c), "chain": payloads[w]} for w, c in fs.items()]
 
 
-def build_report(job: JobSpec, digest: str, status: str, result: dict) -> dict:
+def build_report(job: argparse.Namespace, digest: str, status: str, result: dict) -> dict:
     return {
         "tool": {"name": "toupie", "version": __version__},
         "command": job.command,
-        "input": {"path": job.input_path, "sha256": digest},
-        "parameters": {"degree": job.degree, "arity": job.arity, "seed": job.seed},
+        "input": {"path": job.input, "sha256": digest},
+        "parameters": {"degree": job.degree, "arity": job.arity},
         "status": status,
         "result": result,
     }
@@ -335,7 +311,7 @@ def render_report(report: dict, fmt: str) -> str:
 # commands
 
 
-def cmd_validate(job: JobSpec, pres: Presentation, gd):
+def cmd_validate(job: argparse.Namespace, pres: Presentation, gd):
     from .presentation import branches_of
     branches = branches_of(pres.quiver)
     result = {
@@ -350,7 +326,7 @@ def cmd_validate(job: JobSpec, pres: Presentation, gd):
     return "ok", result
 
 
-def cmd_branches(job: JobSpec, pres: Presentation, gd):
+def cmd_branches(job: argparse.Namespace, pres: Presentation, gd):
     from .rewriting import classify_branches
     rows = [
         {"arrows": list(b.names), "length": len(b), "classes": [cls]}
@@ -359,7 +335,7 @@ def cmd_branches(job: JobSpec, pres: Presentation, gd):
     return "ok", {"branches": rows}
 
 
-def cmd_tips(job: JobSpec, pres: Presentation, gd):
+def cmd_tips(job: argparse.Namespace, pres: Presentation, gd):
     result = {
         "monomial": [list(t.names) for t in gd.mono_tips],
         "nonmonomial": [
@@ -371,7 +347,7 @@ def cmd_tips(job: JobSpec, pres: Presentation, gd):
     return "ok", result
 
 
-def cmd_chains(job: JobSpec, pres: Presentation, gd):
+def cmd_chains(job: argparse.Namespace, pres: Presentation, gd):
     from .chains import ChainGraph
     cg = ChainGraph(gd)
     by_degree, counts = {}, []
@@ -384,7 +360,7 @@ def cmd_chains(job: JobSpec, pres: Presentation, gd):
     return "ok", {"counts": counts, "by_degree": by_degree}
 
 
-def cmd_betti(job: JobSpec, pres: Presentation, gd):
+def cmd_betti(job: argparse.Namespace, pres: Presentation, gd):
     from .anick import betti_numbers
     # a d-chain spans at least d + 1 arrows of one branch, so no chain has a
     # degree at or above the arrow count: past it every rank is zero
@@ -395,7 +371,7 @@ def cmd_betti(job: JobSpec, pres: Presentation, gd):
     return "ok", {"betti": ranks}
 
 
-def cmd_resolution_check(job: JobSpec, pres: Presentation, gd):
+def cmd_resolution_check(job: argparse.Namespace, pres: Presentation, gd):
     from .anick import AnickResolution, betti_numbers
     rep = AnickResolution(gd).check(job.degree)
     ok = rep["square_zero"] and rep["augmented"] and rep["minimal"]
@@ -410,7 +386,7 @@ def cmd_resolution_check(job: JobSpec, pres: Presentation, gd):
     return ("ok" if ok else "violation"), result
 
 
-def cmd_sdr_check(job: JobSpec, pres: Presentation, gd):
+def cmd_sdr_check(job: argparse.Namespace, pres: Presentation, gd):
     from .morse import BarSDR
     bad = BarSDR(gd).verify(job.degree)
     return ("ok" if not bad else "violation"), {
@@ -419,7 +395,7 @@ def cmd_sdr_check(job: JobSpec, pres: Presentation, gd):
     }
 
 
-def cmd_tor_coalgebra(job: JobSpec, pres: Presentation, gd):
+def cmd_tor_coalgebra(job: argparse.Namespace, pres: Presentation, gd):
     from .ainf import TorCoalgebra, coalgebra_table
     table = coalgebra_table(TorCoalgebra(gd), job.arity)
     payloads = _ChainPayloads()
@@ -444,7 +420,7 @@ def _product_rows(table: dict, n_max: int) -> dict:
     }
 
 
-def cmd_ext_products(job: JobSpec, pres: Presentation, gd):
+def cmd_ext_products(job: argparse.Namespace, pres: Presentation, gd):
     from .ainf import ExtAlgebra, TorCoalgebra, algebra_table
     table = algebra_table(ExtAlgebra(TorCoalgebra(gd)), job.arity)
     return "ok", {"products": _product_rows(table, job.arity)}
@@ -472,25 +448,13 @@ def _stasheff_payload(gd, arity: int, payloads: _ChainPayloads) -> dict:
     }
 
 
-def _subjects(job: JobSpec, gd) -> list:
-    out = [("input", gd)]
-    if job.seed is not None:
-        from .random_presentations import random_presentation
-        from .rewriting import build_groebner
-        out.append((f"seed-{job.seed}", build_groebner(random_presentation(job.seed))))
-    return out
+def cmd_stasheff(job: argparse.Namespace, pres: Presentation, gd):
+    payload = _stasheff_payload(gd, job.arity, _ChainPayloads())
+    clean = not payload["coalgebra_defects"] and not payload["algebra_defects"]
+    return ("ok" if clean else "violation"), {"input": payload}
 
 
-def cmd_stasheff(job: JobSpec, pres: Presentation, gd):
-    result, clean, payloads = {}, True, _ChainPayloads()
-    for label, g in _subjects(job, gd):
-        payload = _stasheff_payload(g, job.arity, payloads)
-        clean = clean and not payload["coalgebra_defects"] and not payload["algebra_defects"]
-        result[label] = payload
-    return ("ok" if clean else "violation"), result
-
-
-def _refusal_payload(gd, err, job: JobSpec) -> dict:
+def _refusal_payload(gd, err, job: argparse.Namespace) -> dict:
     """Refusals still ship the operation tables so the structure that broke
     the construction stays inspectable."""
     from .ainf import ExtAlgebra, TorCoalgebra, algebra_table
@@ -498,7 +462,7 @@ def _refusal_payload(gd, err, job: JobSpec) -> dict:
     return {"reasons": list(err.reasons), "products": _product_rows(table, job.arity)}
 
 
-def cmd_yoneda(job: JobSpec, pres: Presentation, gd):
+def cmd_yoneda(job: argparse.Namespace, pres: Presentation, gd):
     from .duality import HypothesesError, yoneda_presentation
     try:
         dual = yoneda_presentation(pres)
@@ -510,7 +474,7 @@ def cmd_yoneda(job: JobSpec, pres: Presentation, gd):
     }
 
 
-def cmd_gr(job: JobSpec, pres: Presentation, gd):
+def cmd_gr(job: argparse.Namespace, pres: Presentation, gd):
     from .duality import gr_algebra
     from .rewriting import build_groebner
     graded = gr_algebra(pres)
@@ -523,7 +487,7 @@ def cmd_gr(job: JobSpec, pres: Presentation, gd):
     return ("ok" if gdim == gd.dim else "violation"), result
 
 
-def cmd_double_dual(job: JobSpec, pres: Presentation, gd):
+def cmd_double_dual(job: argparse.Namespace, pres: Presentation, gd):
     from .duality import HypothesesError, double_dual, gr_algebra, ideal_equal
     try:
         dd = double_dual(pres)
@@ -539,34 +503,31 @@ def cmd_double_dual(job: JobSpec, pres: Presentation, gd):
     return ("ok" if eq else "violation"), result
 
 
-def cmd_oracle_diff(job: JobSpec, pres: Presentation, gd):
+def cmd_oracle_diff(job: argparse.Namespace, pres: Presentation, gd):
     from .ainf import TorCoalgebra
-    result, clean, payloads = {}, True, _ChainPayloads()
-    for label, g in _subjects(job, gd):
-        tor = TorCoalgebra(g)
-        chains = tor.all_chains()
-        mismatches = []
-        for n in range(2, job.arity + 1):
-            for chain in chains:
-                closed = tor.closed_delta(n, chain)
-                transfer = tor.transfer_delta(n, chain)
-                if closed != transfer:
-                    mismatches.append(
-                        {
-                            "arity": n,
-                            "chain": payloads[chain],
-                            "closed": _tensor_terms(closed, payloads),
-                            "transfer": _tensor_terms(transfer, payloads),
-                        }
-                    )
-        sdr_bad = tor.sdr.verify(job.degree)
-        clean = clean and not mismatches and not sdr_bad
-        result[label] = {
-            "chains_checked": len(chains),
-            "coproduct_mismatches": mismatches,
-            "sdr_violations": sdr_bad,
-        }
-    return ("ok" if clean else "violation"), result
+    tor, payloads = TorCoalgebra(gd), _ChainPayloads()
+    chains = tor.all_chains()
+    mismatches = []
+    for n in range(2, job.arity + 1):
+        for chain in chains:
+            closed = tor.closed_delta(n, chain)
+            transfer = tor.transfer_delta(n, chain)
+            if closed != transfer:
+                mismatches.append(
+                    {
+                        "arity": n,
+                        "chain": payloads[chain],
+                        "closed": _tensor_terms(closed, payloads),
+                        "transfer": _tensor_terms(transfer, payloads),
+                    }
+                )
+    sdr_bad = tor.sdr.verify(job.degree)
+    result = {
+        "chains_checked": len(chains),
+        "coproduct_mismatches": mismatches,
+        "sdr_violations": sdr_bad,
+    }
+    return ("ok" if not mismatches and not sdr_bad else "violation"), {"input": result}
 
 
 _HANDLERS = {
@@ -594,13 +555,17 @@ _COMMAND_NAMES = tuple(_HANDLERS)
 
 def _check_golden(path_str: str, out_bytes: bytes) -> int:
     import difflib
-    golden = FilePath(path_str)
     try:
-        want = golden.read_bytes() if golden.exists() else None
-        if want is None:
-            golden.write_bytes(out_bytes)
+        try:
+            with open(path_str, "rb") as fh:
+                want = fh.read()
+        except FileNotFoundError:
+            want = None
+            with open(path_str, "wb") as fh:
+                fh.write(out_bytes)
     except OSError as err:
-        # a missing directory or a directory in place of the file
+        # a missing directory, a directory in place of the file, or a file
+        # named as a directory (a trailing slash)
         raise InputError(f"{path_str}: {err.strerror or err}") from err
     if want is None:
         print(f"toupie: golden file written: {path_str}", file=sys.stderr)
@@ -618,19 +583,20 @@ def _check_golden(path_str: str, out_bytes: bytes) -> int:
     return 1
 
 
-def _run(job: JobSpec) -> int:
+def _run(job: argparse.Namespace) -> int:
     try:
-        raw = FilePath(job.input_path).read_bytes()
+        with open(job.input, "rb") as fh:
+            raw = fh.read()
     except OSError as err:
-        raise InputError(f"{job.input_path}: {err.strerror or err}") from err
+        raise InputError(f"{job.input}: {err.strerror or err}") from err
     digest = hashlib.sha256(raw).hexdigest()
     try:
         data = json.loads(raw.decode("utf-8"))
     except UnicodeDecodeError as err:
-        raise InputError(f"{job.input_path}: not UTF-8 ({err})") from err
+        raise InputError(f"{job.input}: not UTF-8 ({err})") from err
     except json.JSONDecodeError as err:
-        raise InputError(f"{job.input_path}:{err.lineno}:{err.colno}: {err.msg}") from err
-    pres = parse_presentation(data, where=job.input_path)
+        raise InputError(f"{job.input}:{err.lineno}:{err.colno}: {err.msg}") from err
+    pres = parse_presentation(data, where=job.input)
 
     from . import rewriting
     try:
@@ -648,21 +614,6 @@ def _run(job: JobSpec) -> int:
     if job.golden is not None:
         code = max(code, _check_golden(job.golden, out.encode("utf-8")))
     return code
-
-
-def make_job(args: argparse.Namespace) -> JobSpec:
-    try:
-        return JobSpec(
-            input_path=args.input,
-            command=args.command,
-            degree=args.degree,
-            arity=args.arity,
-            format=args.format,
-            golden=args.golden,
-            seed=args.seed,
-        )
-    except ValueError as err:
-        raise InputError(str(err)) from err
 
 
 @functools.cache
@@ -685,17 +636,19 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--golden", help="golden report file: compare byte-for-byte, write it if absent"
     )
-    parser.add_argument(
-        "--seed", type=int,
-        help="also exercise the generated presentation for this seed where supported",
-    )
     return parser
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    job = _parser().parse_args(argv)
     try:
-        return _run(make_job(args))
+        if job.command not in _HANDLERS:
+            raise InputError(f"unknown command {job.command!r}")
+        if job.degree < 1:
+            raise InputError("degree bound must be >= 1")
+        if job.arity < 1:
+            raise InputError("arity bound must be >= 1")
+        return _run(job)
     except InputError as err:
         print(f"toupie: error: {err}", file=sys.stderr)
         return 2

@@ -546,6 +546,87 @@ def test_monomial_lines_multiply_only_in_arities_two_and_k(copies, length, k, wa
     assert want == {n: copies * c for n in range(2, 7) if (c := line_product_rows(length, k, n))}
 
 
+def interval_chains(length: int, k: int) -> dict:
+    """The chains of line(length, k) as integer intervals, listed from the
+    minimal tips [i, i + k) alone, sharing no code with `chains`, `morse`,
+    `ainf` or `Path`: (start, stop) -> degree.
+
+    A chain of degree d is a run of stops p_0 < p_1 < ... < p_d on the branch,
+    its letters the arrow intervals [p_{j-1}, p_j).  Degree 1 is one arrow
+    (p_1 = p_0 + 1).  A letter [a, b) is followed by [b, c) for the least c
+    such that some tip [t, c) starts inside it (a <= t < b) and ends past it."""
+    tips = [(i, i + k) for i in range(length - k + 1)]
+    out = {}
+    layer, degree = [(s, s + 1) for s in range(length)], 1
+    while layer:
+        out.update({(stops[0], stops[-1]): degree for stops in layer})
+        grown = []
+        for stops in layer:
+            a, b = stops[-2:]
+            ends = [c for t, c in tips if a <= t < b < c]
+            if ends:
+                grown.append(stops + (min(ends),))
+        layer, degree = grown, degree + 1
+    return out
+
+
+def interval_products(length: int, k: int, n_max: int) -> dict:
+    """arity -> {argument intervals: joined interval}: Tamaroff's products of
+    the monomial algebra line(length, k), read off the interval chains.
+
+    Overlap rule: m_n(c_1, ..., c_n) is nonzero exactly when each c_i starts
+    where c_{i-1} stops and the joined interval is itself a chain, of degree
+    deg c_1 + ... + deg c_n + 2 - n; its value is then +1 or -1 times that
+    chain."""
+    chains = interval_chains(length, k)
+    by_start = {}
+    for span in chains:
+        by_start.setdefault(span[0], []).append(span)
+    rows = {n: {} for n in range(2, n_max + 1)}
+
+    def extend(args, degrees):
+        n = len(args)
+        joined = (args[0][0], args[-1][1])
+        if n >= 2 and chains.get(joined) == degrees + 2 - n:
+            rows[n][tuple(args)] = joined
+        if n < n_max:
+            for span in by_start.get(args[-1][1], ()):
+                extend(args + [span], degrees + chains[span])
+
+    for span, degree in chains.items():
+        extend([span], degree)
+    return rows
+
+
+def word_interval(word) -> tuple:
+    """A chain word of `lines_presentation(1, ...)` as its arrow interval:
+    arrow x0_j is [j - 1, j)."""
+    names = [name for letter in word for name in letter.names]
+    return int(names[0].split("_")[1]) - 1, int(names[-1].split("_")[1])
+
+
+# the sign of every nonzero m_k on line(L, k); every nonzero m_2 is +1
+M_K_SIGN = {3: 1, 4: 1, 5: -1, 6: -1, 7: 1, 8: 1}
+
+
+@pytest.mark.parametrize(
+    "length, k",
+    [(10, 3), (12, 4), (13, 5), (14, 6), (16, 7), (17, 8), (20, 3), (24, 4)],
+)
+def test_monomial_line_products_match_the_interval_oracle(length, k):
+    # every row of the table, key and value, is the oracle's, with its sign
+    table = algebra_table(ExtAlgebra(TorCoalgebra(build_groebner(lines_presentation(1, length, k)))), k + 1)
+    want = interval_products(length, k, k + 1)
+    assert {n for n, rows in want.items() if rows} == {2, k}
+    sign = {2: 1, k: M_K_SIGN[k]}
+    for n in range(2, k + 2):
+        got = {
+            tuple(map(word_interval, args)): {word_interval(w): c for w, c in value.items()}
+            for args, value in table[n].items()
+        }
+        assert got == {args: {joined: sign[n]} for args, joined in want[n].items()}, n
+
+
 @pytest.mark.parametrize("name", ["chains", "transfer_delta", "bimodule_diff", "nontips_by_degree"])
 def test_each_call_hands_out_a_fresh_result(name):
     # a result edited in place leaves the answer of the next call intact

@@ -525,6 +525,25 @@ def test_usage_errors(capsys, e1_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "where, reason",
+    [
+        ("missing/input.json", "No such file or directory"),
+        (".", "Is a directory"),
+        ("input.json/", "Not a directory"),
+        ("", "No such file or directory"),
+    ],
+    ids=["missing-directory", "directory", "trailing-slash", "empty"],
+)
+def test_unreadable_input_is_an_input_error(capsys, monkeypatch, tmp_path, e1_path, where, reason):
+    # the file is opened as named: a trailing slash or an empty name does not
+    # reach the input file beside it or the working directory
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "validate", where)
+    assert (code, out) == (2, "")
+    assert err == f"toupie: error: {where}: {reason}\n"
+
+
 def test_reports_are_byte_stable(capsys, e1_path):
     _, out1, _ = run_cli(capsys, "ext-products", e1_path, "--format", "json")
     _, out2, _ = run_cli(capsys, "ext-products", e1_path, "--format", "json")
@@ -540,10 +559,14 @@ def test_job_settings_come_only_from_flags(capsys, monkeypatch, e1_path):
     monkeypatch.setenv("TOUPIE_FORMAT", "json")
     code, out, _ = run_cli(capsys, "betti", e1_path)
     assert code == 0 and out.startswith("toupie ")
-    assert "parameters: arity=5 degree=5 seed=None\n" in out
-    code, report = run_json(capsys, "betti", e1_path, "--degree", "2", "--arity", "3", "--seed", "7")
-    assert report["parameters"] == {"degree": 2, "arity": 3, "seed": 7}
+    assert "parameters: arity=5 degree=5\n" in out
+    code, report = run_json(capsys, "betti", e1_path, "--degree", "2", "--arity", "3")
+    assert report["parameters"] == {"degree": 2, "arity": 3}
     assert report["result"]["betti"] == [6, 7, 2]
+    with pytest.raises(SystemExit) as exc:  # no flag picks a second subject
+        main(["betti", e1_path, "--seed", "7"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
 
 
 def test_golden_bless_match_mismatch(capsys, tmp_path, e1_path):
@@ -562,15 +585,23 @@ def test_golden_bless_match_mismatch(capsys, tmp_path, e1_path):
 
 @pytest.mark.parametrize(
     "where, reason",
-    [("missing/golden.txt", "No such file or directory"), (".", "Is a directory")],
-    ids=["missing-directory", "directory"],
+    [
+        ("missing/golden.txt", "No such file or directory"),
+        (".", "Is a directory"),
+        ("golden.txt/", "Not a directory"),
+        ("", "No such file or directory"),
+    ],
+    ids=["missing-directory", "directory", "trailing-slash", "empty"],
 )
-def test_unusable_golden_path_is_an_input_error(capsys, tmp_path, e1_path, where, reason):
-    # exit 2 with the path and the reason, as for an unreadable input file
-    golden = tmp_path / where
-    code, _, err = run_cli(capsys, "betti", e1_path, "--golden", str(golden))
+def test_unusable_golden_path_is_an_input_error(capsys, monkeypatch, tmp_path, e1_path, where, reason):
+    # exit 2 with the path as named and the reason, as for an unreadable input
+    # file; a trailing slash or an empty name does not reach the golden file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "golden.txt").write_text("stale\n")
+    code, _, err = run_cli(capsys, "betti", e1_path, "--golden", where)
     assert code == 2
-    assert err == f"toupie: error: {golden}: {reason}\n"
+    assert err == f"toupie: error: {where}: {reason}\n"
+    assert (tmp_path / "golden.txt").read_text() == "stale\n"
 
 
 def test_chains_and_tips(capsys, e1_path):
@@ -589,17 +620,18 @@ def test_chains_and_tips(capsys, e1_path):
     assert report["result"]["monomial"] == []
 
 
-def test_consistency_commands_pass(capsys, e1_path):
-    for cmd, extra in (
-        ("resolution-check", ("--degree", "4")),
-        ("sdr-check", ("--degree", "4")),
-        ("stasheff", ("--arity", "4")),
-        ("oracle-diff", ("--arity", "3", "--degree", "3", "--seed", "3")),
-    ):
-        code, report = run_json(capsys, cmd, e1_path, *extra)
-        assert code == 0, cmd
-        assert report["status"] == "ok", cmd
-    assert "seed-3" in report["result"]  # oracle-diff also ran the seeded subject
+def test_consistency_commands_pass(capsys, tmp_path, e1_path):
+    drawn = write_input(tmp_path, random_presentation(3), "drawn.json")
+    for path in (e1_path, drawn):
+        for cmd, extra in (
+            ("resolution-check", ("--degree", "4")),
+            ("sdr-check", ("--degree", "4")),
+            ("stasheff", ("--arity", "4")),
+            ("oracle-diff", ("--arity", "3", "--degree", "3")),
+        ):
+            code, report = run_json(capsys, cmd, path, *extra)
+            assert code == 0, (path, cmd)
+            assert report["status"] == "ok", (path, cmd)
 
 
 @pytest.mark.parametrize("which", ["first-nonzero", "top"])
@@ -744,9 +776,12 @@ def test_one_special_sweep_per_reduction(capsys, monkeypatch, e1_path):
 def test_reports_do_not_depend_on_the_intern_table(capsys, monkeypatch, tmp_path, e1_path):
     # paths hash by identity, so set order follows memory addresses; no
     # report may depend on it
+    drawn = write_input(tmp_path, random_presentation(3), "drawn.json")
+
     def reports():
         return [
-            run_cli(capsys, command, e1_path, "--format", "json", "--seed", "3")[:2]
+            run_cli(capsys, command, path, "--format", "json")[:2]
+            for path in (e1_path, drawn)
             for command in _COMMAND_NAMES
         ]
 
@@ -922,10 +957,12 @@ def test_json_reports_with_shared_chain_payloads_match_json_dumps(
         return render_report(report, fmt)
 
     monkeypatch.setattr(toupie.cli, "render_report", keep)
-    path = write_input(tmp_path, lines_presentation(1, 10, 3))
-    _, out, _ = run_cli(capsys, command, path, "--arity", "4", "--seed", "3", "--format", "json")
-    (report,) = reports
-    assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    outs = [
+        run_cli(capsys, command, write_input(tmp_path, pres), "--arity", "4", "--format", "json")[1]
+        for pres in (random_presentation(3), lines_presentation(1, 10, 3))
+    ]
+    for out, report in zip(outs, reports, strict=True):
+        assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
     if command in ("tor-coalgebra", "ext-products"):
         list_ids = []
 

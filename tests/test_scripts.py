@@ -41,3 +41,9 @@ def test_check_intern_runs_clean(capsys, monkeypatch):
     check = load_script("check_intern")
     assert check.main() == 0
     assert capsys.readouterr().out.splitlines()[-1].startswith("5 intern checks, 0 failed")
+
+
+def test_check_readme_runs_clean(capsys):
+    check = load_script("check_readme")
+    assert check.main() == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("6 README commands, 0 failed")
