@@ -1,16 +1,15 @@
 """Chains: the overlap graph of tips and its admissible words.
 
-A word [w1|...|w_{n+1}] of nontrivial nontips is an n-chain when w1 is an
-arrow and every product w_i w_{i+1} lands in the tip ideal while no proper
-prefix of it does.  Each nontrivial path lies in one branch, so a letter w_i
-has exactly one candidate successor: its cut, the shortest path v after w_i
-with w_i v in the tip ideal (`TipIdeal.cut`).  w_{i+1} must be that cut and a
-nontip.  So every chain is a prefix of its first arrow's *run*, the word that
-starts at the arrow and appends cuts while they exist and are nontips.  Chains
-are the critical cells of the bar resolution and index its minimal model; each
-chain is determined by its underlying path, and parsing a path back into its
-chain word is one lookup of its length among the run prefixes of its first
-arrow.
+A word [w1|...|w_{n+1}] of nontrivial nontips is an n-chain when w1 is an arrow
+and every product w_i w_{i+1} lands in the tip ideal while no proper prefix of
+it does.  A nontrivial path is an interval of one branch b, so a letter [s, e)
+has one candidate successor, its cut [e, ends[b][s]): the shortest path v after
+it with w_i v in the tip ideal (`TipIdeal`).  w_{i+1} must be that cut and a
+nontip.  So every chain is a prefix of its first arrow's *run*: from the arrow,
+append cuts while they lie in the branch and are nontips.  Chains are the
+critical cells of the bar resolution and index its minimal model; each chain is
+determined by its underlying path, and parsing a path back into its chain word
+is one lookup of its length among the run prefixes of its first arrow.
 """
 from __future__ import annotations
 
@@ -18,6 +17,14 @@ from .presentation import Path
 from .rewriting import GroebnerData
 
 __all__ = ["ChainGraph", "underlying_path"]
+
+
+def _word_key(word):
+    # the underlying path's sort_key and the letter lengths, without building
+    # the path: the letters lie on one branch, so the length, the source and
+    # the first arrow fix the path, and arrow names are unique
+    lens = tuple([len(p.arrows) for p in word])
+    return sum(lens), word[0].source, word[0].arrows[0].name, lens
 
 
 def underlying_path(word) -> Path:
@@ -43,17 +50,19 @@ class ChainGraph:
         ideal = gd.tip_ideal
         self.runs: dict = {}
         self.prefix_letters: dict = {}
-        for a in gd.quiver.arrows:
-            # every tip has length >= 2, so every arrow is a nontip
-            run = [Path(a.src, (a,))]
-            letters = {1: 1}
-            size = 1
-            while (v := ideal.cut(run[-1])) is not None and v not in ideal:
-                run.append(v)
-                size += len(v)
-                letters[size] = len(run)
-            self.runs[a] = tuple(run)
-            self.prefix_letters[a] = letters
+        for branch, ends in zip(ideal.branches, ideal.ends):
+            n = len(branch.arrows)
+            for i, a in enumerate(branch.arrows):
+                # from the arrow (a nontip: tips have length >= 2), extend the run
+                # while the last letter's cut [e, j) lies in the branch and is a nontip
+                s, e = i, i + 1
+                run, letters = [branch.slice(s, e)], {1: 1}
+                while (j := ends[s]) <= n and ends[e] > j:
+                    run.append(branch.slice(e, j))
+                    letters[j - i] = len(run)
+                    s, e = e, j
+                self.runs[a] = tuple(run)
+                self.prefix_letters[a] = letters
         self._chain_paths: dict = {}
         # the cuts of branch intervals into two or more chains, shared by every
         # `decompositions` call, keyed (first arrow, length, blocks, degree)
@@ -92,9 +101,7 @@ class ChainGraph:
     def chains(self, degree: int):
         """All chains of the given degree (a d-chain has d+1 letters), d >= 0."""
         layer = [run[: degree + 1] for run in self.runs.values() if len(run) > degree]
-        # one chain per first arrow, and arrow names are unique, so this key
-        # orders the layer as the underlying paths' sort keys do
-        layer.sort(key=lambda w: (sum(map(len, w)), w[0].source, w[0].arrows[0].name))
+        layer.sort(key=_word_key)
         return layer
 
     def max_chain_degree(self) -> int:

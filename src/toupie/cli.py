@@ -426,17 +426,17 @@ def cmd_ext_products(job: argparse.Namespace, pres: Presentation, gd):
     return "ok", {"products": _product_rows(table, job.arity)}
 
 
-def _stasheff_payload(gd, arity: int, payloads: _ChainPayloads) -> dict:
+def cmd_stasheff(job: argparse.Namespace, pres: Presentation, gd):
     from .ainf import ExtAlgebra, TorCoalgebra, algebra_table, coalgebra_table
     from .ainf import stasheff_algebra_defects, stasheff_coalgebra_defects
     tor = TorCoalgebra(gd)
-    ext = ExtAlgebra(tor)
-    ctab = coalgebra_table(tor, arity)
-    atab = algebra_table(ext, arity)
+    ctab = coalgebra_table(tor, job.arity)
+    atab = algebra_table(ExtAlgebra(tor), job.arity)
     chains = tor.all_chains()
-    cbad = stasheff_coalgebra_defects(ctab, chains, arity)
-    abad = stasheff_algebra_defects(atab, chains, arity)
-    return {
+    cbad = stasheff_coalgebra_defects(ctab, chains, job.arity)
+    abad = stasheff_algebra_defects(atab, chains, job.arity)
+    payloads = _ChainPayloads()
+    payload = {
         "coalgebra_defects": [
             {"arity": n, "chain": payloads[c], "defect": _tensor_terms(fs, payloads)}
             for n, c, fs in cbad
@@ -446,12 +446,7 @@ def _stasheff_payload(gd, arity: int, payloads: _ChainPayloads) -> dict:
             for n, tup, fs in abad
         ],
     }
-
-
-def cmd_stasheff(job: argparse.Namespace, pres: Presentation, gd):
-    payload = _stasheff_payload(gd, job.arity, _ChainPayloads())
-    clean = not payload["coalgebra_defects"] and not payload["algebra_defects"]
-    return ("ok" if clean else "violation"), {"input": payload}
+    return ("violation" if cbad or abad else "ok"), {"input": payload}
 
 
 def _refusal_payload(gd, err, job: argparse.Namespace) -> dict:
@@ -596,6 +591,11 @@ def _run(job: argparse.Namespace) -> int:
         raise InputError(f"{job.input}: not UTF-8 ({err})") from err
     except json.JSONDecodeError as err:
         raise InputError(f"{job.input}:{err.lineno}:{err.colno}: {err.msg}") from err
+    except ValueError as err:  # the decoder's other ValueError: past the int-string digit limit
+        limit = sys.get_int_max_str_digits()
+        raise InputError(f"{job.input}: an integer literal has more than {limit} digits") from err
+    except RecursionError as err:
+        raise InputError(f"{job.input}: nested too deeply") from err
     pres = parse_presentation(data, where=job.input)
 
     from . import rewriting

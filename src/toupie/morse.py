@@ -11,20 +11,12 @@ here next to the generic zigzag oracle for cross-checking.
 from __future__ import annotations
 
 from . import zigzag
-from .chains import ChainGraph
+from .chains import ChainGraph, _word_key
 from .presentation import FormalSum, Path, compose
 from .rewriting import GroebnerData
 from .zigzag import BasedComplex
 
 __all__ = ["bar_words", "bar_differential", "classify_word", "BarSDR"]
-
-
-def _word_key(word):
-    # the underlying path's sort_key and the letter lengths, without building
-    # the path: the letters lie on one branch, so the length, the source and
-    # the first arrow fix the path, and arrow names are unique
-    lens = tuple([len(p.arrows) for p in word])
-    return sum(lens), word[0].source, word[0].arrows[0].name, lens
 
 
 def bar_words(gd: GroebnerData, max_degree: int | None = None) -> dict[int, list]:
@@ -75,7 +67,7 @@ def classify_word(cg: ChainGraph, word):
     else:
         prev, ideal = word[k - 1], cg.gd.tip_ideal
         b, i = ideal.at[prev.arrows[0]]
-        # the length of prev's cut (`TipIdeal.cut`), past the branch end when it has none
+        # the length of prev's cut [i + |prev|, ends[b][i]), past the branch end when it has none
         pr_len = ideal.ends[b][i] - i - len(prev.arrows)
         if pr_len > len(w):
             # nothing to split: this word absorbs its successor instead
@@ -173,20 +165,6 @@ class BarSDR:
         if self.is_attached(word):
             return self._split_merge(word)
         return None
-
-    def sdr_h(self, word) -> FormalSum:
-        """Closed homotopy; defined on chains (zero) and attached words."""
-        got = self._closed(word)
-        if got is None:
-            raise ValueError(f"input not attached: {word!r}")
-        return got[0]
-
-    def sdr_p(self, word) -> FormalSum:
-        """Closed projection; defined on chains (themselves) and attached words."""
-        got = self._closed(word)
-        if got is None:
-            raise ValueError(f"input not attached: {word!r}")
-        return got[1]
 
     def sdr_i(self, word) -> FormalSum:
         """Closed inclusion of a chain: nontrivial only on 1-chains over long relations."""

@@ -193,13 +193,6 @@ class TipIdeal:
         b, i = self.at[p.arrows[0]]
         return self.ends[b][i] <= i + len(p.arrows)
 
-    def cut(self, prev: Path):
-        """The shortest path v after nontrivial nontip prev with prev * v in the ideal, or None."""
-        b, i = self.at[prev.arrows[0]]
-        j = self.ends[b][i]  # past the end of prev, as prev is a nontip
-        br = self.branches[b]
-        return br.slice(i + len(prev.arrows), j) if j <= len(br) else None
-
 
 class GroebnerData:
     """Tips, tails and the nontip basis of a presentation."""
@@ -240,7 +233,8 @@ class GroebnerData:
         got = self._nf_cache.get(p)
         if got is None:
             if p in self.nonmono_by_tip:
-                got = self.tail_of(p).map_terms(self.normal_form)
+                # the row's other terms are free columns: branches that are no tip
+                got = self.tail_of(p)
             elif p in self.tip_ideal:  # contains a monomial tip
                 got = FormalSum()
             else:

@@ -193,6 +193,19 @@ def occurs(p: Path, sub: Path) -> bool:
     return any(p.arrows[i : i + m] == sub.arrows for i in range(len(p.arrows) - m + 1))
 
 
+def brute_force_cut(gd, prev: Path):
+    """Oracle for the successor rule: the shortest continuation v of the
+    nontrivial nontip `prev` along its branch such that prev * v contains one
+    of `gd.tips`, or None; found by trying one more arrow at a time."""
+    q, grown = gd.quiver, prev
+    while q.out[grown.target]:
+        (a,) = q.out[grown.target]  # past the source a branch has one arrow out
+        grown = Path(grown.source, grown.arrows + (a,))
+        if any(occurs(grown, t) for t in gd.tips):
+            return Path(prev.target, grown.arrows[len(prev.arrows) :])
+    return None
+
+
 def all_paths(q: Quiver) -> list[Path]:
     """Every path of the quiver, trivial ones included, shortest first
     (finite: a toupie quiver is acyclic)."""

@@ -14,6 +14,7 @@ from toupie.random_presentations import random_presentation
 from toupie.rewriting import build_groebner
 from tests.conftest import (
     all_paths,
+    brute_force_cut,
     fold_path,
     lines_presentation,
     monomial_presentations,
@@ -329,13 +330,13 @@ def test_euler_cartan_identity_sees_a_missing_chain():
 
 
 def cut_walk_parse(gd, path):
-    """The chain word of `path`: its first arrow, then cuts while they fit and are nontips."""
-    ideal = gd.tip_ideal
+    """The chain word of `path`: its first arrow, then cuts (`brute_force_cut`)
+    while they fit and contain no tip."""
     letters = [path.slice(0, 1)]
     i = 1
     while i < len(path):
-        v = ideal.cut(letters[-1])
-        if v is None or i + len(v) > len(path) or v in ideal:
+        v = brute_force_cut(gd, letters[-1])
+        if v is None or i + len(v) > len(path) or any(occurs(v, t) for t in gd.tips):
             return None
         letters.append(v)
         i += len(v)

@@ -246,6 +246,25 @@ def test_json_error_reports_position(capsys, tmp_path):
     assert ":2:" in err
 
 
+def test_deeply_nested_input_is_an_input_error(capsys, tmp_path):
+    # past the decoder's recursion limit on every supported Python
+    path = tmp_path / "deep.json"
+    path.write_text('{"vertices": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"toupie: error: {path}: nested too deeply\n"
+
+
+def test_over_long_integer_literal_is_an_input_error(capsys, tmp_path):
+    # an integer literal anywhere in the file, past the int-string digit limit
+    limit = sys.get_int_max_str_digits()
+    path = tmp_path / "long.json"
+    path.write_text('{"vertices": [' + "1" * (limit + 1) + "]}")
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"toupie: error: {path}: an integer literal has more than {limit} digits\n"
+
+
 def test_schema_error_reports_path(capsys, tmp_path):
     path = tmp_path / "coeff.json"
     path.write_text(

@@ -10,6 +10,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from toupie.chains import ChainGraph
 from toupie.presentation import FormalSum, Path, Presentation, Quiver, compose
 from toupie.random_presentations import random_presentation
 from toupie.rewriting import GroebnerData, build_groebner, classify_branches, rref, special_basis
@@ -372,14 +373,25 @@ def assert_tip_ideal_is_brute_force(pres):
     in_ideal = {p: any(occurs(p, t) for t in gd.tips) for p in paths}
     for p in paths:
         assert (p in ideal) == in_ideal[p], p
-    for prev in paths:
-        if prev.is_trivial or in_ideal[prev]:
-            continue
-        heads = [
-            v for v in paths
-            if not v.is_trivial and v.source == prev.target and in_ideal[compose(prev, v)]
-        ]
-        assert ideal.cut(prev) is min(heads, key=len, default=None), prev
+    # the cut of each nontrivial nontip: the shortest path after it whose
+    # product with it contains a tip
+    cut = {
+        prev: min(
+            (v for v in paths
+             if not v.is_trivial and v.source == prev.target and in_ideal[compose(prev, v)]),
+            key=len,
+            default=None,
+        )
+        for prev in paths
+        if not (prev.is_trivial or in_ideal[prev])
+    }
+    # each run goes on with its last letter's cut, and ends where that cut is
+    # missing or contains a tip
+    for a, run in ChainGraph(gd).runs.items():
+        assert run[0] is Path(a.src, (a,))
+        for prev, nxt in zip(run, run[1:]):
+            assert nxt is cut[prev], prev
+        assert cut[run[-1]] is None or in_ideal[cut[run[-1]]], run
     # the nontip basis: the paths containing no tip, grouped by length in
     # increasing key order
     by_len: dict = {}
@@ -444,6 +456,27 @@ def test_dim_counts_the_nontip_basis_without_building_it(pres, monkeypatch):
     dim = gd.dim
     monkeypatch.undo()
     assert dim == sum(map(len, gd.nontips_by_degree.values()))
+
+
+def assert_reduced_tails_are_nontips(pres):
+    gd = build_groebner(pres)
+    for tip, rel in gd.nonmono_rows:
+        for p in rel.terms:
+            assert p is tip or not any(occurs(p, t) for t in gd.tips), (tip, p)
+        # so a tip's tail is already in normal form
+        tail = gd.tail_of(tip)
+        assert gd.normal_form(tip) == tail == tail.map_terms(gd.normal_form)
+
+
+@pytest.mark.parametrize("pres", _dim_subjects())
+def test_reduced_row_tails_are_nontips_on_fixtures(pres):
+    assert_reduced_tails_are_nontips(pres)
+
+
+@given(st.one_of(st.integers(0, 10**4).map(random_presentation), monomial_presentations()))
+@settings(max_examples=60, deadline=None)
+def test_reduced_row_tails_are_nontips_on_random_draws(pres):
+    assert_reduced_tails_are_nontips(pres)
 
 
 def test_groebner_data_is_freed_without_the_cyclic_collector():

@@ -91,7 +91,7 @@ def _corruptible(gd) -> dict:
     sdr, out = BarSDR(gd), {}
     for k, ws in sorted(bar_words(gd).items()):
         for w in ws:
-            if k and sdr.is_attached(w) and not sdr.cg.is_chain(w) and sdr.sdr_h(w):
+            if k and sdr.is_attached(w) and not sdr.cg.is_chain(w) and sdr._closed(w)[0]:
                 out[k] = w
                 break
     return out
