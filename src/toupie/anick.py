@@ -1,11 +1,8 @@
 """The minimal bimodule resolution indexed by chains.
 
-Same word cells as the reduced bar complex, but with coefficients in the
-bimodule A (x) A: each term of a differential is (left path, cell, right path)
-with both decorations in normal form.  The standard two-sided differential
-splits letters off both ends and merges inside; collapsing with the chain
-matching leaves one generator per chain, and the induced differential is
-computed by the same projection recursion, now transporting the decorations.
+Same word cells as the reduced bar complex, with coefficients in A (x) A: a
+term is (left path, cell, right path), both decorations in normal form, and the
+bar complex's chain matching leaves one generator per chain.
 """
 from __future__ import annotations
 
@@ -30,6 +27,18 @@ def betti_numbers(gd: GroebnerData, up_to: int) -> list[int]:
 
 
 class AnickResolution:
+    """The two-sided resolution collapsed along the bar complex's chain matching.
+
+    The two-sided differential of [w1|...|wn] is w1 (x) [w2|...|wn] minus the
+    bar differential plus (-1)^n [w1|...|w_{n-1}] (x) wn.  The projection p
+    onto the chains is zero on an upper cell hi, so p(d(hi)) = 0, which gives
+    p of its lower partner w, whose coefficient c in `cx.diff(hi)` is nonzero:
+
+        p(w) = (p(end terms of hi) - sum of c_y p(y) over y in cx.thick(hi)) / c.
+
+    A chain's differential is the same with `cx.diff(chain)` for thick, undivided.
+    """
+
     def __init__(self, gd: GroebnerData):
         from . import morse
 
@@ -41,76 +50,50 @@ class AnickResolution:
         self._p_cache: dict = {}
         self._d_cache: dict = {}
 
-    # -- the two-sided word differential -------------------------------------
-
-    def bimodule_diff(self, cell) -> FormalSum:
-        """Terms (left, cell, right); ends split off, middles merge in normal form."""
+    def _sandwich(self, term, fn) -> FormalSum:
+        """left * fn(y) * right for a term (left, y, right), in normal form."""
+        left, y, right = term
         out = FormalSum()
-        if not isinstance(cell, Path):
-            word = cell
-            n = len(word)
-            src = word[0].source
-            tgt = word[-1].target
-            out.add_term((word[0], word[1:] if n > 1 else Path(tgt, ()), Path(tgt, ())), 1)
-            # the inner merges are the bar differential's, each sign flipped:
-            # (-1)^(j+1) = -(-1)^j
-            for w, c in self.cx.diff(word).terms.items():
-                out.add_term((Path(src, ()), w, Path(tgt, ())), -c)
-            out.add_term(
-                (Path(src, ()), word[:-1] if n > 1 else Path(src, ()), word[-1]),
-                (-1) ** n,
-            )
-        return out
-
-    def _sandwich(self, left: Path, right: Path, fs: FormalSum) -> FormalSum:
-        out = FormalSum()
-        for (l2, cell, r2), c in fs.terms.items():
+        for (l2, cell, r2), c in fn(y).terms.items():
             for lp, lc in self.gd.normal_form(compose(left, l2)).terms.items():
                 for rp, rc in self.gd.normal_form(compose(r2, right)).terms.items():
                     out.add_term((lp, cell, rp), c * lc * rc)
         return out
 
-    # -- transfer to the chain generators -------------------------------------
-
-    def p(self, cell) -> FormalSum:
-        got = self._p_cache.get(cell)
-        if got is not None:
-            return got
-        st, partner = self.cx.match(cell)
-        if st == "critical":
-            src = cell.source if isinstance(cell, Path) else cell[0].source
-            tgt = cell.target if isinstance(cell, Path) else cell[-1].target
-            got = FormalSum.lift((Path(src, ()), cell, Path(tgt, ())))
-        elif st == "upper":
-            got = FormalSum()
+    def _p_of_d(self, word, inner: FormalSum) -> FormalSum:
+        """p of the two-sided differential of `word`, whose bar part is `inner`."""
+        w1, wn = word[0], word[-1]
+        e_s, e_t = Path(w1.source, ()), Path(wn.target, ())
+        if len(word) == 1:
+            out = FormalSum({(w1, e_t, e_t): 1, (e_s, e_s, w1): -1})
         else:
-            d_up = self.bimodule_diff(partner)
-            src = cell[0].source
-            tgt = cell[-1].target
-            me = (Path(src, ()), cell, Path(tgt, ()))
-            # minus the pair's bar coefficient, which `match` has checked is nonzero
-            lam = d_up.coeff(me)
-            got = FormalSum()
-            for (l, y, r), c in d_up.terms.items():
-                if (l, y, r) == me:
-                    continue
-                got.add_scaled(self._sandwich(l, r, self.p(y)), qdiv(-c, lam))
-        self._p_cache[cell] = got
+            out = self._sandwich((w1, word[1:], e_t), self.p)
+            out.add_scaled(self._sandwich((e_s, word[:-1], wn), self.p), (-1) ** len(word))
+        return out.add_composite(inner, self.p, -1)
+
+    def p(self, word) -> FormalSum:
+        """Projection of a word onto the chains; kept and shared, so callers only read it."""
+        got = self._p_cache.get(word)
+        if got is None:
+            st, hi = self.cx.match(word)
+            if st == "critical":
+                got = FormalSum.lift((Path(word[0].source, ()), word, Path(word[-1].target, ())))
+            elif st == "upper":
+                got = FormalSum()
+            else:
+                c = self.cx.diff(hi).coeff(word)
+                got = self._p_of_d(hi, self.cx.thick(hi)).scale(qdiv(1, c))
+            self._p_cache[word] = got
         return got
 
     def differential(self, chain) -> FormalSum:
-        """Induced differential on a chain generator (or a vertex: zero); kept
-        per chain and shared, so callers only read it."""
+        """Induced differential on a chain; kept and shared, so callers only read it."""
         got = self._d_cache.get(chain)
-        if got is not None:
-            return got
-        if self.cx.status(chain) != "critical":
-            raise ValueError(f"not a chain generator: {chain!r}")
-        out = FormalSum()
-        for (l, y, r), c in self.bimodule_diff(chain).terms.items():
-            out.add_scaled(self._sandwich(l, r, self.p(y)), c)
-        self._d_cache[chain] = out
-        return out
+        if got is None:
+            if self.cx.status(chain) != "critical":
+                raise ValueError(f"not a chain generator: {chain!r}")
+            got = self._d_cache[chain] = self._p_of_d(chain, self.cx.diff(chain))
+        return got
 
     def augmentation(self, fs: FormalSum) -> FormalSum:
         """Multiply the two decorations through a degree-0 cell."""
@@ -122,8 +105,6 @@ class AnickResolution:
                 out.add_term(q, c * cq)
         return out
 
-    # -- checks ---------------------------------------------------------------
-
     def check(self, max_degree: int) -> dict:
         """Exactness data: d∘d, augmentation∘d1, and minimality, per degree."""
         report = {"square_zero": True, "augmented": True, "minimal": True, "violations": []}
@@ -133,7 +114,7 @@ class AnickResolution:
                 break  # chains nest: every later layer is empty too
             for chain in chains:
                 dv = self.differential(chain)
-                for (l, y, r), c in dv.terms.items():
+                for l, y, r in dv.terms:
                     if l.is_trivial and r.is_trivial:
                         report["minimal"] = False
                         report["violations"].append(f"non-minimal term at {chain!r}")
@@ -141,11 +122,7 @@ class AnickResolution:
                     if self.augmentation(dv):
                         report["augmented"] = False
                         report["violations"].append(f"augmentation does not kill d({chain!r})")
-                else:
-                    dd = FormalSum()
-                    for (l, y, r), c in dv.terms.items():
-                        dd.add_scaled(self._sandwich(l, r, self.differential(y)), c)
-                    if dd:
-                        report["square_zero"] = False
-                        report["violations"].append(f"d∘d != 0 at {chain!r}")
+                elif FormalSum().add_composite(dv, lambda t: self._sandwich(t, self.differential)):
+                    report["square_zero"] = False
+                    report["violations"].append(f"d∘d != 0 at {chain!r}")
         return report

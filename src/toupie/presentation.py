@@ -428,7 +428,9 @@ class Presentation:
         by_name = self.quiver.arrow_by_name
         listed = set()
         for i, name in enumerate(self.order):
-            if not (isinstance(name, str) and name in by_name):
+            if not isinstance(name, str):
+                raise ValueError(f"order[{i}]: expected a string")
+            if name not in by_name:
                 raise ValueError(f"order[{i}]: unknown arrow {name!r}")
             # a branch starts at an arrow out of a vertex with no incoming arrow
             if self.quiver.inn[by_name[name].src]:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import strategies as st
 
 import toupie.morse
+from toupie.chains import ChainGraph
 from toupie.presentation import FormalSum, Path, Presentation, Quiver, compose
 
 
@@ -476,6 +477,61 @@ def record_bar_differentials(monkeypatch) -> list:
 
     monkeypatch.setattr(toupie.morse, "bar_differential", recording)
     return built
+
+
+def anick_reference(gd):
+    """Oracle for `AnickResolution.p` and `.differential`, returned as the pair
+    (p, differential).  The two-sided differential of a cell is built whole as
+    (left, cell, right) triples: the two end terms, and every merge of
+    `morse.bar_differential` with its sign flipped, between trivial paths.  The
+    projection of a lower cell finds its own coefficient in that sum over its
+    partner and moves every other term to the far side, each sandwiched by
+    normal forms; the differential projects every term the same way."""
+    match = toupie.morse.build_matching(ChainGraph(gd))
+    memo: dict = {}
+
+    def bimodule_diff(word) -> FormalSum:
+        n, src, tgt = len(word), Path(word[0].source, ()), Path(word[-1].target, ())
+        out = FormalSum()
+        out.add_term((word[0], word[1:] if n > 1 else tgt, tgt), 1)
+        for w, c in toupie.morse.bar_differential(gd, word).terms.items():
+            out.add_term((src, w, tgt), -c)
+        out.add_term((src, word[:-1] if n > 1 else src, word[-1]), (-1) ** n)
+        return out
+
+    def sandwich(left, right, fs) -> FormalSum:
+        out = FormalSum()
+        for (l2, cell, r2), c in fs.terms.items():
+            for lp, lc in gd.normal_form(compose(left, l2)).terms.items():
+                for rp, rc in gd.normal_form(compose(r2, right)).terms.items():
+                    out.add_term((lp, cell, rp), c * lc * rc)
+        return out
+
+    def p(cell) -> FormalSum:
+        if cell in memo:
+            return memo[cell]
+        st, partner = match(cell)
+        ends = (cell, cell) if isinstance(cell, Path) else (cell[0], cell[-1])
+        me = (Path(ends[0].source, ()), cell, Path(ends[1].target, ()))
+        got = FormalSum()
+        if st == "critical":
+            got.add_term(me, 1)
+        elif st == "lower":
+            d_up = bimodule_diff(partner)
+            lam = d_up.coeff(me)
+            for (l, y, r), c in d_up.terms.items():
+                if (l, y, r) != me:
+                    got.add_scaled(sandwich(l, r, p(y)), Fraction(-c) / lam)
+        memo[cell] = got
+        return got
+
+    def differential(chain) -> FormalSum:
+        out = FormalSum()
+        for (l, y, r), c in bimodule_diff(chain).terms.items():
+            out.add_scaled(sandwich(l, r, p(y)), c)
+        return out
+
+    return p, differential
 
 
 @pytest.fixture

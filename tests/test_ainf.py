@@ -25,7 +25,6 @@ from toupie.ainf import (
     stasheff_algebra_defects,
     stasheff_coalgebra_defects,
 )
-from toupie.anick import AnickResolution
 from toupie.chains import underlying_path
 from toupie.morse import BarSDR
 from toupie.presentation import FormalSum
@@ -627,17 +626,15 @@ def test_monomial_line_products_match_the_interval_oracle(length, k):
         assert got == {args: {joined: sign[n]} for args, joined in want[n].items()}, n
 
 
-@pytest.mark.parametrize("name", ["chains", "transfer_delta", "bimodule_diff", "nontips_by_degree"])
+@pytest.mark.parametrize("name", ["chains", "transfer_delta", "nontips_by_degree"])
 def test_each_call_hands_out_a_fresh_result(name):
     # a result edited in place leaves the answer of the next call intact
     gd = build_groebner(three_branch_presentation())
     tor = TorCoalgebra(gd)
-    resolution = AnickResolution(gd)
     chain = tor.cg.chains(1)[0]
     read = {
         "chains": lambda: tor.cg.chains(1),
         "transfer_delta": lambda: tor.transfer_delta(2, chain),
-        "bimodule_diff": lambda: resolution.bimodule_diff(chain),
         "nontips_by_degree": lambda: gd.nontips_by_degree,
     }[name]
     got = read()

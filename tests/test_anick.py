@@ -1,13 +1,24 @@
 import json
 
 import pytest
+from hypothesis import given, settings
 
-from tests.conftest import single_chain_presentation, three_branch_presentation
+from tests.conftest import (
+    anick_reference,
+    fixed_violators,
+    lines_presentation,
+    monomial_presentations,
+    overlap_monomial_presentation,
+    plain_beside_quadratic_presentation,
+    single_chain_presentation,
+    three_branch_presentation,
+)
 from toupie import morse
 from toupie.anick import AnickResolution, betti_numbers
 from toupie.chains import ChainGraph
 from toupie.cli import main, presentation_payload
 from toupie.presentation import FormalSum, Path
+from toupie.random_presentations import random_presentation
 from toupie.rewriting import build_groebner
 
 
@@ -70,13 +81,57 @@ def test_resolution_checks_longer_tips():
         assert report["violations"] == []
 
 
-def _flip_first_term(letters: int):
-    """`bimodule_diff` with the sign of its first term flipped on cells of `letters` letters."""
-    bimodule_diff = AnickResolution.bimodule_diff
+def assert_matches_the_reference(pres, max_degree=None):
+    """`p` on every bar word of degree 1 to `max_degree` (all when None) and
+    `differential` on every chain equal the triple-building reference."""
+    gd = build_groebner(pres)
+    res = AnickResolution(gd)
+    ref_p, ref_differential = anick_reference(gd)
+    words = morse.bar_words(gd, max_degree)
+    for d in range(1, len(words)):
+        for w in words[d]:
+            assert res.p(w) == ref_p(w), w
+    for d in range(res.cg.max_chain_degree() + 1):
+        for chain in res.cg.chains(d):
+            assert res.differential(chain) == ref_differential(chain), chain
 
-    def corrupted(self, cell):
-        out = bimodule_diff(self, cell)
-        if not isinstance(cell, Path) and len(cell) == letters:
+
+@pytest.mark.parametrize(
+    "pres",
+    [
+        three_branch_presentation(),
+        overlap_monomial_presentation(),
+        single_chain_presentation([["d1", "d2", "d3"], ["d3", "d4"]]),
+        single_chain_presentation([["d1", "d2", "d3"], ["d2", "d3", "d4"]]),
+        plain_beside_quadratic_presentation(3),
+        lines_presentation(2, 6, 3),
+    ]
+    + [pres for _, pres in fixed_violators()],
+    ids=["three-branch", "overlap", "cubic-overlap", "cubic-pair", "plain-quadratic", "2xline-6-3"]
+    + [f"violator-{i}" for i in range(len(fixed_violators()))],
+)
+def test_projection_and_differential_match_the_reference_on_fixtures(pres):
+    assert_matches_the_reference(pres)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_projection_and_differential_match_the_reference_on_random_presentations(seed):
+    assert_matches_the_reference(random_presentation(seed))
+
+
+@given(monomial_presentations())
+@settings(max_examples=40, deadline=None)
+def test_projection_and_differential_match_the_reference_on_overlapping_monomials(pres):
+    assert_matches_the_reference(pres, 4)
+
+
+def _flip_first_term(letters: int):
+    """`_p_of_d` with the sign of its first term flipped on words of `letters` letters."""
+    p_of_d = AnickResolution._p_of_d
+
+    def corrupted(self, word, inner):
+        out = p_of_d(self, word, inner)
+        if len(word) == letters:
             out = FormalSum(out.terms)
             first = next(iter(out.terms))
             out.terms[first] = -out.terms[first]
@@ -105,12 +160,12 @@ SQUARE_DEFECTS = ["d∘d != 0 at (b1, b2)", "d∘d != 0 at (a1, a2*a3)"]
     "attr, corrupted, flags, violations",
     [
         (
-            "bimodule_diff",
+            "_p_of_d",
             _flip_first_term(1),
             (False, False, True),
             ONE_LETTER_AUGMENTATION + SQUARE_DEFECTS,
         ),
-        ("bimodule_diff", _flip_first_term(2), (False, True, True), SQUARE_DEFECTS),
+        ("_p_of_d", _flip_first_term(2), (False, True, True), SQUARE_DEFECTS),
         (
             "differential",
             _with_undecorated_term,
@@ -135,7 +190,7 @@ def test_resolution_check_reports_each_violation(monkeypatch, attr, corrupted, f
 def test_resolution_check_command_exits_1_on_a_violation(monkeypatch, capsys, tmp_path):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(presentation_payload(three_branch_presentation())))
-    monkeypatch.setattr(AnickResolution, "bimodule_diff", _flip_first_term(2))
+    monkeypatch.setattr(AnickResolution, "_p_of_d", _flip_first_term(2))
     code = main(["resolution-check", str(path), "--degree", "3", "--format", "json"])
     report = json.loads(capsys.readouterr().out)
     assert (code, report["status"]) == (1, "violation")

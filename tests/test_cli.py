@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -414,7 +415,12 @@ _SCHEMA_ERRORS = {
     ),
     "order-not-list": (_doc(order="a"), ".order: expected a list"),
     "order-unknown-arrow": (_doc(order=["a", "c"]), ".order[1]: unknown arrow 'c'"),
-    "order-not-string": (_doc(order=[["a"]]), ".order[0]: unknown arrow ['a']"),
+    "order-not-string": (_doc(order=[["a"]]), ".order[0]: expected a string"),
+    # the message names the entry without echoing it
+    "order-deeply-nested": (
+        _doc(order=["a", reduce(lambda inner, _: [inner], range(500), "a")]),
+        ".order[1]: expected a string",
+    ),
     "order-inner-arrow": (
         dict(presentation_payload(three_branch_presentation()), order=["a2"]),
         ".order[0]: arrow 'a2' starts no branch",
@@ -499,7 +505,7 @@ _NON_JSON_ERRORS = [
     ),
     (_doc(relations=[[{"coeff": "1", "path": ["a", True]}]]), "in.relations[0][0].path[1]: expected a string"),
     (_doc(order=("a",)), "in.order: expected a list"),
-    (_doc(order=[True]), "in.order[0]: unknown arrow True"),
+    (_doc(order=[True]), "in.order[0]: expected a string"),
 ]
 
 

@@ -7,6 +7,7 @@ import json
 import pathlib
 import tokenize
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given
@@ -532,12 +533,14 @@ def test_branches(three_branch):
     "order, message",
     [
         (("zz",), "order[0]: unknown arrow 'zz'"),
-        (("a1", 3), "order[1]: unknown arrow 3"),
-        ((["a1"],), "order[0]: unknown arrow ['a1']"),
+        (("a1", 3), "order[1]: expected a string"),
+        ((["a1"],), "order[0]: expected a string"),
+        # the message names the entry without echoing it
+        (("b1", reduce(lambda inner, _: [inner], range(900), "a1")), "order[1]: expected a string"),
         (("a2",), "order[0]: arrow 'a2' starts no branch"),
         (("b1", "b1", "a1"), "order[1]: duplicate arrow 'b1'"),
     ],
-    ids=["unknown", "not-a-string", "unhashable", "inner-arrow", "repeated"],
+    ids=["unknown", "not-a-string", "unhashable", "deeply-nested", "inner-arrow", "repeated"],
 )
 def test_presentation_rejects_a_bad_order(three_branch, order, message):
     with pytest.raises(ValueError) as info:
